@@ -1,26 +1,30 @@
-// Pipeline scheduling bench: wall-clock of the serial stage sequence
-// vs the task-graph plan on the same task, verifying along the way
-// that the two plans produce a bitwise-identical end model (the
-// scheduler's core guarantee — see src/taglets/task_graph.hpp).
+// Pipeline scheduling bench: wall-clock of the task graph on one lane
+// vs on every lane of the process-wide pool, on the same task,
+// verifying along the way that the two produce a bitwise-identical end
+// model (the scheduler's core guarantee — see
+// src/taglets/task_graph.hpp). One lane dispatches the nodes in
+// topological order on the calling thread, so it is the plain stage
+// sequence, with every tensor kernel on that thread too.
 //
-// The graph plan's headline overlap: the backbone fetch runs alongside
+// The graph's headline overlap: the backbone fetch runs alongside
 // SCADS selection, and the zero-shot module (which reads only the
 // engine and the graph embeddings) trains while selection is still in
 // flight; the SCADS-consuming modules then fan out concurrently. On a
-// machine with >= 4 hardware threads the graph plan must not be slower
-// than serial (small tolerance for scheduler overhead); on smaller
-// machines the ratio is reported but not enforced.
+// machine with >= 4 hardware threads the N-lane run must not be slower
+// than the 1-lane run (small tolerance for scheduler overhead); on
+// smaller machines the ratio is reported but not enforced.
 //
 // Knobs (environment, like every other bench):
-//   TAGLETS_PIPELINE_REPEATS   runs per plan, best kept   (default 2)
-//   TAGLETS_PIPELINE_SHOTS     shots per class            (default 2)
-//   TAGLETS_PIPELINE_SCALE     epoch_scale                (default 0.5)
+//   TAGLETS_PIPELINE_REPEATS   runs per lane count, best kept (default 2)
+//   TAGLETS_PIPELINE_SHOTS     shots per class                (default 2)
+//   TAGLETS_PIPELINE_SCALE     epoch_scale                    (default 0.5)
 //   TAGLETS_PIPELINE_JSON_OUT  write the JSON snapshot here
 //
-// Emits one JSON object ({"bench":"pipeline_bench", "serial_seconds":...,
-// "graph_seconds":..., "speedup":..., "bitwise_identical":...}) tracked
-// across PRs as BENCH_pipeline.json. Exits non-zero if the plans
-// diverge bitwise, or if the graph plan loses on >= 4 threads.
+// Emits one JSON object ({"bench":"pipeline_bench", "lanes":...,
+// "one_lane_seconds":..., "lanes_seconds":..., "speedup":...,
+// "bitwise_identical":...}) tracked across PRs as BENCH_pipeline.json.
+// Exits non-zero if the lane counts diverge bitwise, or if the N-lane
+// run loses on >= 4 threads.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -108,49 +112,54 @@ int main() {
   config.epoch_scale = scale;
 
   // Warm the zoo outside the timed region: pretraining cost is shared
-  // by both plans and would otherwise be charged to whichever runs
-  // first.
+  // by both lane counts and would otherwise be charged to whichever
+  // runs first.
   zoo.get(config.backbone);
   zoo.zsl_reference();
 
-  auto time_plan = [&](PipelineMode mode, std::optional<SystemResult>* out) {
+  auto time_runs = [&](util::Parallel& lanes,
+                       std::optional<SystemResult>* out) {
+    util::Parallel* previous = util::Parallel::exchange_global(&lanes);
     double best = 1e300;
     for (long r = 0; r < repeats; ++r) {
-      SystemConfig run_config = config;
-      run_config.pipeline = mode;
       util::Timer timer;
-      SystemResult result = controller.run(task, run_config);
+      SystemResult result = controller.run(task, config);
       best = std::min(best, timer.elapsed_seconds());
       if (!out->has_value()) *out = std::move(result);
     }
+    util::Parallel::exchange_global(previous);
     return best;
   };
 
-  std::optional<SystemResult> serial_result, graph_result;
-  const double serial_seconds = time_plan(PipelineMode::kSerial,
-                                          &serial_result);
-  const double graph_seconds = time_plan(PipelineMode::kGraph, &graph_result);
+  util::Parallel one_lane(1);
+  std::optional<SystemResult> one_lane_result, lanes_result;
+  const double one_lane_seconds = time_runs(one_lane, &one_lane_result);
+  const double lanes_seconds =
+      time_runs(util::Parallel::global(), &lanes_result);
 
-  const Tensor serial_logits =
-      serial_result->end_model.model().logits(task.test_inputs, false);
-  const Tensor graph_logits =
-      graph_result->end_model.model().logits(task.test_inputs, false);
+  const Tensor one_lane_logits =
+      one_lane_result->end_model.model().logits(task.test_inputs, false);
+  const Tensor lanes_logits =
+      lanes_result->end_model.model().logits(task.test_inputs, false);
   const bool identical =
-      bitwise_equal(serial_logits, graph_logits) &&
-      bitwise_equal(serial_result->pseudo_labels, graph_result->pseudo_labels);
+      bitwise_equal(one_lane_logits, lanes_logits) &&
+      bitwise_equal(one_lane_result->pseudo_labels,
+                    lanes_result->pseudo_labels);
 
   const double speedup =
-      graph_seconds > 0.0 ? serial_seconds / graph_seconds : 0.0;
-  std::cout << "serial " << serial_seconds << "s, graph " << graph_seconds
-            << "s (speedup " << speedup << "x), bitwise "
-            << (identical ? "identical" : "DIVERGED") << "\n";
+      lanes_seconds > 0.0 ? one_lane_seconds / lanes_seconds : 0.0;
+  std::cout << "1 lane " << one_lane_seconds << "s, " << threads
+            << " lanes " << lanes_seconds << "s (speedup " << speedup
+            << "x), bitwise " << (identical ? "identical" : "DIVERGED")
+            << "\n";
 
   std::ostringstream json;
   json << "{\"bench\":\"pipeline_bench\",\"shots\":" << shots
        << ",\"epoch_scale\":" << scale << ",\"repeats\":" << repeats
        << ",\"modules\":" << config.module_names.size()
-       << ",\"serial_seconds\":" << serial_seconds
-       << ",\"graph_seconds\":" << graph_seconds << ",\"speedup\":" << speedup
+       << ",\"lanes\":" << threads
+       << ",\"one_lane_seconds\":" << one_lane_seconds
+       << ",\"lanes_seconds\":" << lanes_seconds << ",\"speedup\":" << speedup
        << ",\"bitwise_identical\":" << (identical ? "true" : "false") << "}";
   const std::string json_out =
       util::env_string("TAGLETS_PIPELINE_JSON_OUT", "");
@@ -162,16 +171,17 @@ int main() {
   std::cout << json.str() << "\n";
 
   if (!identical) {
-    std::cerr << "[pipeline_bench] FAIL: plans are not bitwise identical\n";
+    std::cerr << "[pipeline_bench] FAIL: 1-lane and " << threads
+              << "-lane runs are not bitwise identical\n";
     return 1;
   }
-  // Scheduler-overhead gate: on a parallel machine the graph plan must
+  // Scheduler-overhead gate: on a parallel machine the N-lane run must
   // win (or tie within 5%). Reported but unenforced on < 4 threads,
   // where the DAG can only time-slice.
-  if (threads >= 4 && graph_seconds > serial_seconds * 1.05) {
-    std::cerr << "[pipeline_bench] FAIL: graph plan slower than serial ("
-              << graph_seconds << "s vs " << serial_seconds << "s on "
-              << threads << " threads)\n";
+  if (threads >= 4 && lanes_seconds > one_lane_seconds * 1.05) {
+    std::cerr << "[pipeline_bench] FAIL: " << threads
+              << "-lane run slower than 1 lane (" << lanes_seconds
+              << "s vs " << one_lane_seconds << "s)\n";
     return 1;
   }
   return 0;

@@ -23,7 +23,8 @@ done
 # Serving benches: each emits a committed BENCH_*.json snapshot
 # tracked across PRs (in-process server, micro kernels, the fleet
 # drill: 3 shard processes, one SIGKILLed mid-run, and the pipeline
-# scheduling A/B: serial stages vs the task-graph plan, bitwise-checked).
+# scheduling A/B: the task graph on 1 lane vs every lane of the pool,
+# bitwise-checked).
 TAGLETS_PIPELINE_JSON_OUT=BENCH_pipeline.json build/bench/pipeline_bench
 TAGLETS_SERVE_JSON_OUT=BENCH_serve.json build/bench/serve_loadgen
 build/bench/micro_core --benchmark_out=BENCH_micro_core.json \
@@ -36,20 +37,27 @@ sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 dirty=$(git diff --quiet 2>/dev/null || echo "-dirty")
 backend=$(build/tools/taglets_run --backend-info | head -1 | sed 's/^tensor backend: //')
 threads=${TAGLETS_THREADS:-$(nproc)}
+cores=$(nproc)
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)
 for f in BENCH_*.json; do
-  python3 - "$f" "$sha$dirty" "$backend" "$threads" <<'EOF'
+  python3 - "$f" "$sha$dirty" "$backend" "$threads" "$cores" "$cpu" \
+    "$build_type" <<'EOF'
 import json, sys
-path, sha, backend, threads = sys.argv[1:5]
+path, sha, backend, threads, cores, cpu, build_type = sys.argv[1:8]
 with open(path) as fh:
     doc = json.load(fh)
 doc["provenance"] = {
     "git_sha": sha,
+    "build_type": build_type,
     "tensor_backend": backend,
     "threads": int(threads),
+    "nproc": int(cores),
+    "cpu_model": cpu,
 }
 with open(path, "w") as fh:
     json.dump(doc, fh, indent=1 if path.endswith("micro_core.json") else None)
     fh.write("\n")
 EOF
 done
-echo "[run_benches] stamped BENCH_*.json with git_sha=$sha$dirty backend=$backend threads=$threads"
+echo "[run_benches] stamped BENCH_*.json with git_sha=$sha$dirty build=$build_type backend=$backend threads=$threads nproc=$cores cpu=$cpu"

@@ -1,6 +1,7 @@
 #include "backbone/zoo.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -8,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "util/atomic_io.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
 
@@ -58,8 +58,9 @@ Zoo::Zoo(const synth::World* world, PretrainConfig config,
          std::optional<std::string> cache_dir)
     : world_(world), config_(config) {
   TAGLETS_CHECK_NE(world_, nullptr, "Zoo: null world");
-  cache_dir_ =
-      cache_dir.value_or(util::env_string("TAGLETS_CACHE", ".taglets_cache"));
+  // Unset means the default directory; set but empty disables the cache.
+  const char* env = std::getenv("TAGLETS_CACHE");
+  cache_dir_ = cache_dir.value_or(env != nullptr ? env : ".taglets_cache");
 }
 
 std::string Zoo::cache_path(Kind kind) const {

@@ -35,8 +35,9 @@ std::uint64_t quantize_knob(double value, double scale);
 
 class Zoo {
  public:
-  /// `cache_dir` empty disables the disk cache. The default picks up the
-  /// TAGLETS_CACHE environment variable (empty default = no disk cache).
+  /// `cache_dir` empty disables the disk cache. The default reads the
+  /// TAGLETS_CACHE environment variable: unset means `.taglets_cache`,
+  /// set but empty means no disk cache.
   explicit Zoo(const synth::World* world, PretrainConfig config = {},
                std::optional<std::string> cache_dir = std::nullopt);
 

@@ -23,7 +23,8 @@ struct LabConfig {
   std::size_t aux_images_per_concept = 28;
   backbone::PretrainConfig pretrain{};
   modules::ZslKgEngine::Config zsl{};
-  /// Disk cache directory for backbones ("" = TAGLETS_CACHE env or none).
+  /// Disk cache directory for backbones ("" = no disk cache; unset =
+  /// the Zoo default, which reads TAGLETS_CACHE).
   std::optional<std::string> cache_dir;
 };
 

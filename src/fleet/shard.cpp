@@ -399,7 +399,9 @@ Pong ShardServer::make_pong(std::uint64_t seq) const {
   pong.queue_depth = static_cast<std::uint32_t>(srv->queue_depth());
   pong.queue_capacity =
       static_cast<std::uint32_t>(srv->config().queue_capacity);
-  const serve::ServerStats::Snapshot s = srv->stats().snapshot();
+  // Counters only: a full snapshot sorts every latency sample under
+  // the lock the reply path records into, once per heartbeat.
+  const serve::ServerStats::Snapshot s = srv->stats().counters();
   pong.requests_ok = s.completed;
   pong.requests_rejected = s.rejected_total();
   pong.requests_deadline_missed = s.deadline_missed;

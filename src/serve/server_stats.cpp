@@ -95,7 +95,7 @@ void ServerStats::record_response(const Response& response) {
   reg_queue_wait_ms_->observe(response.queue_ms);
 }
 
-ServerStats::Snapshot ServerStats::snapshot() const {
+ServerStats::Snapshot ServerStats::counters() const {
   Snapshot s;
   s.workers = workers_.load(std::memory_order_relaxed);
   s.submitted = submitted_.load(std::memory_order_relaxed);
@@ -106,6 +106,11 @@ ServerStats::Snapshot ServerStats::snapshot() const {
   s.failed_shutdown = failed_shutdown_.load(std::memory_order_relaxed);
   s.failed_error = failed_error_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
+  return s;
+}
+
+ServerStats::Snapshot ServerStats::snapshot() const {
+  Snapshot s = counters();
   {
     util::MutexLock lock(mu_);
     s.peak_queue_depth = peak_queue_depth_;

@@ -79,6 +79,10 @@ class ServerStats {
     }
   };
   Snapshot snapshot() const;
+  /// The atomic counters alone (workers through batches); every other
+  /// field stays at its default. Lock-free, so hot paths such as the
+  /// fleet heartbeat can read it without contending with recording.
+  Snapshot counters() const;
 
   /// Multi-line human-readable report.
   std::string report() const;

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -120,6 +122,39 @@ TEST(Zoo, DiskCacheRoundTrips) {
     EXPECT_FLOAT_EQ(fa.data()[i], fb.data()[i]);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(Zoo, EmptyCacheEnvDisablesDiskCache) {
+  // TAGLETS_CACHE unset means ./.taglets_cache; set but empty means no
+  // disk cache. Runs in a fresh working directory so the default
+  // relative cache path is observable.
+  namespace fs = std::filesystem;
+  const fs::path cwd = fs::temp_directory_path() / "taglets_test_cache_env";
+  fs::remove_all(cwd);
+  fs::create_directories(cwd);
+  const fs::path previous_cwd = fs::current_path();
+  const char* previous_env = std::getenv("TAGLETS_CACHE");
+  const std::optional<std::string> saved_env =
+      previous_env != nullptr ? std::optional<std::string>(previous_env)
+                              : std::nullopt;
+  fs::current_path(cwd);
+  auto& world = taglets::testing::small_world();
+  PretrainConfig pc = taglets::testing::small_pretrain_config();
+  pc.epochs = 2;  // keep this test fast
+
+  ASSERT_EQ(setenv("TAGLETS_CACHE", "", 1), 0);
+  Zoo disabled(&world, pc);
+  disabled.get(Kind::kRn50S);
+  EXPECT_TRUE(fs::is_empty(cwd)) << "TAGLETS_CACHE= still wrote a cache";
+
+  ASSERT_EQ(unsetenv("TAGLETS_CACHE"), 0);
+  Zoo defaulted(&world, pc);
+  defaulted.get(Kind::kRn50S);
+  EXPECT_TRUE(fs::is_directory(cwd / ".taglets_cache"));
+
+  fs::current_path(previous_cwd);
+  if (saved_env.has_value()) setenv("TAGLETS_CACHE", saved_env->c_str(), 1);
+  fs::remove_all(cwd);
 }
 
 TEST(Zoo, RejectsNullWorld) {

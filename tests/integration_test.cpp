@@ -72,43 +72,26 @@ TEST(Controller, CustomModuleLineup) {
   EXPECT_EQ(result.taglets[1].name(), "multitask");
 }
 
-TEST(Controller, ParallelModulesMatchSerial) {
-  auto task = taglets::testing::small_task(1);
-  Controller controller(&taglets::testing::small_scads(),
-                        &taglets::testing::small_zoo(), &engine());
-  SystemConfig serial = fast_config(9);
-  SystemConfig parallel = serial;
-  parallel.parallel_modules = true;
-
-  scads::Selection sel = controller.select(task, serial);
-  auto a = controller.train_taglets(task, sel, serial);
-  auto b = controller.train_taglets(task, sel, parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    Tensor la = a[t].model().logits(task.test_inputs, false);
-    Tensor lb = b[t].model().logits(task.test_inputs, false);
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      ASSERT_EQ(la.data()[i], lb.data()[i]) << "taglet " << t;
-    }
-  }
-}
-
-TEST(Controller, GraphPlanMatchesSerialBitwise) {
-  // The headline guarantee of the task-graph scheduler: both execution
-  // plans produce the same bits — same end model, same taglets, same
-  // pseudo labels — because every node re-derives its RNG from the
-  // config seed rather than from scheduling order.
+TEST(Controller, OneLaneAndFourLanesMatchBitwise) {
+  // The headline guarantee of the task-graph scheduler: the lane count
+  // does not change a bit — same end model, same taglets, same pseudo
+  // labels — because every node re-derives its RNG from the config
+  // seed rather than from scheduling order. One lane dispatches the
+  // nodes in topological order on the calling thread, i.e. the plain
+  // stage sequence.
   auto task = taglets::testing::small_task(/*shots=*/1);
   Controller controller(&taglets::testing::small_scads(),
                         &taglets::testing::small_zoo(), &engine());
-  SystemConfig serial = fast_config(17);
-  serial.epoch_scale = 0.15;
-  serial.pipeline = PipelineMode::kSerial;
-  SystemConfig graph = serial;
-  graph.pipeline = PipelineMode::kGraph;
+  SystemConfig config = fast_config(17);
+  config.epoch_scale = 0.15;
 
-  SystemResult a = controller.run(task, serial);
-  SystemResult b = controller.run(task, graph);
+  auto run_on = [&](std::size_t lanes) {
+    util::Parallel pool(lanes);
+    taglets::testing::GlobalParallelOverride guard(&pool);
+    return controller.run(task, config);
+  };
+  SystemResult a = run_on(1);
+  SystemResult b = run_on(4);
 
   ASSERT_EQ(a.taglets.size(), b.taglets.size());
   for (std::size_t t = 0; t < a.taglets.size(); ++t) {
@@ -130,23 +113,6 @@ TEST(Controller, GraphPlanMatchesSerialBitwise) {
   for (std::size_t i = 0; i < ea.size(); ++i) {
     ASSERT_EQ(ea.data()[i], eb.data()[i]);
   }
-}
-
-TEST(Controller, PipelineEnvSelectsPlanAndRejectsGarbage) {
-  auto task = taglets::testing::small_task(/*shots=*/1);
-  Controller controller(&taglets::testing::small_scads(),
-                        &taglets::testing::small_zoo());
-  SystemConfig config = fast_config(19);
-  config.epoch_scale = 0.1;
-  config.module_names = {"transfer"};
-  ASSERT_EQ(setenv("TAGLETS_PIPELINE", "bogus", 1), 0);
-  EXPECT_THROW(controller.run(task, config), std::invalid_argument);
-  ASSERT_EQ(setenv("TAGLETS_PIPELINE", "serial", 1), 0);
-  EXPECT_EQ(controller.run(task, config).taglets.size(), 1u);
-  ASSERT_EQ(unsetenv("TAGLETS_PIPELINE"), 0);
-  // An explicit config mode wins over the environment.
-  config.pipeline = PipelineMode::kGraph;
-  EXPECT_EQ(controller.run(task, config).taglets.size(), 1u);
 }
 
 TEST(Controller, RequiresScadsAndZoo) {

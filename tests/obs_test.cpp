@@ -489,60 +489,6 @@ TEST(Trace, SnapshotPublishesBufferSpansGauge) {
 
 // --------------------------------------------- pipeline instrumentation
 
-TEST(Trace, ControllerRunEmitsStageAndModuleSpans) {
-  TraceSandbox sandbox;
-  set_trace_enabled(true);
-  auto task = taglets::testing::small_task(/*shots=*/1);
-  Controller controller(&taglets::testing::small_scads(),
-                        &taglets::testing::small_zoo());
-  SystemConfig config;
-  config.train_seed = 5;
-  config.epoch_scale = 0.25;
-  config.module_names = {"transfer", "prototype"};  // no zsl engine needed
-  // This test pins the serial plan: the stage-barrier span
-  // "pipeline.module_training" only exists there (the graph plan has
-  // per-node spans instead, covered below).
-  config.pipeline = PipelineMode::kSerial;
-  const SystemResult result = controller.run(task, config);
-  EXPECT_EQ(result.taglets.size(), 2u);
-
-  const std::vector<TraceEvent> events = Tracer::global().snapshot();
-  auto count = [&](const std::string& name) {
-    return std::count_if(events.begin(), events.end(),
-                         [&](const TraceEvent& e) { return e.name == name; });
-  };
-  EXPECT_EQ(count("pipeline.run"), 1);
-  EXPECT_EQ(count("pipeline.scads_selection"), 1);
-  EXPECT_EQ(count("pipeline.module_training"), 1);
-  EXPECT_EQ(count("pipeline.ensemble_vote"), 1);
-  EXPECT_EQ(count("pipeline.distillation"), 1);
-  EXPECT_EQ(count("module.train"), 2);
-  EXPECT_EQ(count("scads.select"), 1);
-  EXPECT_GE(count("nn.fit"), 1);
-
-  // Every trained module appears with its name attribute.
-  std::vector<std::string> trained;
-  for (const TraceEvent& e : events) {
-    if (e.name != "module.train") continue;
-    for (const auto& [key, value] : e.attrs) {
-      if (key == "module") trained.push_back(value);
-    }
-  }
-  std::sort(trained.begin(), trained.end());
-  EXPECT_EQ(trained, (std::vector<std::string>{"prototype", "transfer"}));
-
-  // Pipeline counters moved on the shared registry.
-  auto& registry = MetricsRegistry::global();
-  EXPECT_GE(registry.counter("pipeline.runs_total").value(), 1u);
-  EXPECT_GE(registry.counter("pipeline.modules_trained_total").value(), 2u);
-  EXPECT_GE(registry.counter("scads.examples_selected_total").value(), 1u);
-  EXPECT_GE(registry.counter("nn.epochs_total").value(), 1u);
-
-  // The exported trace of a real pipeline run parses.
-  JsonValidator validator(trace_export_json());
-  EXPECT_TRUE(validator.valid());
-}
-
 TEST(Trace, ControllerGraphRunEmitsPerNodeSpans) {
   TraceSandbox sandbox;
   set_trace_enabled(true);
@@ -552,8 +498,7 @@ TEST(Trace, ControllerGraphRunEmitsPerNodeSpans) {
   SystemConfig config;
   config.train_seed = 5;
   config.epoch_scale = 0.25;
-  config.module_names = {"transfer", "prototype"};
-  config.pipeline = PipelineMode::kGraph;
+  config.module_names = {"transfer", "prototype"};  // no zsl engine needed
   auto& registry = MetricsRegistry::global();
   const std::uint64_t completed_before =
       registry.counter("pipeline.node.completed_total").value();
@@ -573,6 +518,19 @@ TEST(Trace, ControllerGraphRunEmitsPerNodeSpans) {
   EXPECT_EQ(count("pipeline.ensemble_vote"), 1);
   EXPECT_EQ(count("pipeline.distillation"), 1);
   EXPECT_EQ(count("module.train"), 2);
+  EXPECT_EQ(count("scads.select"), 1);
+  EXPECT_GE(count("nn.fit"), 1);
+
+  // Every trained module appears with its name attribute.
+  std::vector<std::string> trained;
+  for (const TraceEvent& e : events) {
+    if (e.name != "module.train") continue;
+    for (const auto& [key, value] : e.attrs) {
+      if (key == "module") trained.push_back(value);
+    }
+  }
+  std::sort(trained.begin(), trained.end());
+  EXPECT_EQ(trained, (std::vector<std::string>{"prototype", "transfer"}));
 
   // Each node span carries its name attribute.
   std::vector<std::string> nodes;
@@ -589,6 +547,16 @@ TEST(Trace, ControllerGraphRunEmitsPerNodeSpans) {
 
   EXPECT_EQ(registry.counter("pipeline.node.completed_total").value(),
             completed_before + 6);
+
+  // Pipeline counters moved on the shared registry.
+  EXPECT_GE(registry.counter("pipeline.runs_total").value(), 1u);
+  EXPECT_GE(registry.counter("pipeline.modules_trained_total").value(), 2u);
+  EXPECT_GE(registry.counter("scads.examples_selected_total").value(), 1u);
+  EXPECT_GE(registry.counter("nn.epochs_total").value(), 1u);
+
+  // The exported trace of a real pipeline run parses.
+  JsonValidator validator(trace_export_json());
+  EXPECT_TRUE(validator.valid());
 }
 
 }  // namespace

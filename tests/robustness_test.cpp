@@ -333,21 +333,23 @@ TEST(Resume, InjectedCrashThenResumeIsBitwiseIdentical) {
 
 TEST(Resume, KillAtMidDagNodeBoundaryResumesBitwise) {
   // Crash inside the DAG's module fan-out (the 2nd taglet write, so
-  // one module has already been checkpointed) and resume under the
-  // graph plan. The resumed model must match a clean serial run bit
-  // for bit — the strongest cross-plan resume statement we can make.
+  // one module has already been checkpointed) and resume on the
+  // process-wide pool. The resumed model must match a clean 1-lane run
+  // (nodes in topological order on one thread) bit for bit — the
+  // strongest cross-schedule resume statement we can make.
   const auto task = taglets::testing::small_task(/*shots=*/2);
   Controller controller(&taglets::testing::small_scads(),
                         &taglets::testing::small_zoo());
   const fs::path dir = scratch_dir("resume_middag");
 
-  SystemConfig plain = resume_config("");
-  plain.pipeline = PipelineMode::kSerial;
   const fs::path reference = dir / "reference.bin";
-  controller.run(task, plain).end_model.save(reference.string());
+  {
+    util::Parallel one_lane(1);
+    taglets::testing::GlobalParallelOverride guard(&one_lane);
+    controller.run(task, resume_config("")).end_model.save(reference.string());
+  }
 
   SystemConfig config = resume_config((dir / "ckpt").string());
-  config.pipeline = PipelineMode::kGraph;
   {
     FaultSpec spec("checkpoint.taglet:2");
     EXPECT_THROW(controller.run(task, config), FaultInjected);
@@ -369,7 +371,7 @@ TEST(Resume, KillAtMidDagNodeBoundaryResumesBitwise) {
   const fs::path resumed_model = dir / "resumed.bin";
   resumed.end_model.save(resumed_model.string());
   EXPECT_EQ(read_bytes(resumed_model), read_bytes(reference))
-      << "graph-plan resume diverged from the clean serial run";
+      << "resume diverged from the clean 1-lane run";
 }
 
 TEST(Resume, EffectiveSelectionSeedFingerprintsIdentically) {

@@ -552,6 +552,18 @@ TEST(ServerStats, ReportAndJsonCarryTheCounters) {
   EXPECT_EQ(s.workers, 3u);
   EXPECT_EQ(s.rejected_total(), 1u);
   EXPECT_EQ(s.failed_total(), 1u);
+
+  // The lock-free counter half (what a fleet heartbeat reads) agrees
+  // with the full snapshot and leaves the distributions untouched.
+  const auto c = stats.counters();
+  EXPECT_EQ(c.workers, s.workers);
+  EXPECT_EQ(c.submitted, s.submitted);
+  EXPECT_EQ(c.completed, s.completed);
+  EXPECT_EQ(c.rejected_total(), s.rejected_total());
+  EXPECT_EQ(c.failed_total(), s.failed_total());
+  EXPECT_EQ(c.batches, s.batches);
+  EXPECT_EQ(c.peak_queue_depth, 0u);
+  EXPECT_EQ(c.latency_p50_ms, 0.0);
 }
 
 TEST(ServerStats, ConcurrentRecordingIsSafe) {

@@ -11,6 +11,7 @@
 #include "scads/scads.hpp"
 #include "synth/split.hpp"
 #include "synth/tasks.hpp"
+#include "util/parallel.hpp"
 
 namespace taglets::testing {
 
@@ -72,5 +73,21 @@ inline synth::FewShotTask small_task(std::size_t shots = 1,
   return synth::make_few_shot_task(pool, shots, spec.test_per_class,
                                    split + 101);
 }
+
+/// Temporarily redirect util::Parallel::global() at a specific pool —
+/// e.g. a 1-lane pool, on which the pipeline's task graph dispatches
+/// every node in topological order on the calling thread.
+class GlobalParallelOverride {
+ public:
+  explicit GlobalParallelOverride(util::Parallel* pool)
+      : prev_(util::Parallel::exchange_global(pool)) {}
+  ~GlobalParallelOverride() { util::Parallel::exchange_global(prev_); }
+
+  GlobalParallelOverride(const GlobalParallelOverride&) = delete;
+  GlobalParallelOverride& operator=(const GlobalParallelOverride&) = delete;
+
+ private:
+  util::Parallel* prev_;
+};
 
 }  // namespace taglets::testing

@@ -24,8 +24,8 @@
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
+#include "test_support.hpp"
 
 namespace taglets::util {
 namespace {
@@ -426,63 +426,9 @@ TEST(LatencyRecorder, BatchPercentilesMatchIndividualCalls) {
   EXPECT_TRUE(recorder.percentiles_ms({}).empty());
 }
 
-// ---------------------------------------------------------- threadpool
-
-TEST(ThreadPool, ParallelForRunsEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(64);
-  pool.parallel_for(64, [&](std::size_t i) { counts[i]++; });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 7 * 6; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForJoinsAllTasksBeforeRethrowing) {
-  ThreadPool pool(4);
-  std::atomic<int> entered{0};
-  std::atomic<int> exited{0};
-  // Early throwers used to make parallel_for return while later queued
-  // tasks still referenced `fn` and these counters — a use-after-scope.
-  // The fixed version runs every task to completion first.
-  EXPECT_THROW(
-      pool.parallel_for(64,
-                        [&](std::size_t i) {
-                          entered++;
-                          if (i % 8 == 0) {
-                            exited++;
-                            throw std::runtime_error("boom");
-                          }
-                          std::this_thread::sleep_for(
-                              std::chrono::microseconds(200));
-                          exited++;
-                        }),
-      std::runtime_error);
-  EXPECT_EQ(entered.load(), 64);
-  EXPECT_EQ(exited.load(), 64);
-}
-
 // ---------------------------------------------------------- parallel
 
-/// Temporarily redirect Parallel::global() at a specific pool.
-class GlobalParallelOverride {
- public:
-  explicit GlobalParallelOverride(Parallel* pool)
-      : prev_(Parallel::exchange_global(pool)) {}
-  ~GlobalParallelOverride() { Parallel::exchange_global(prev_); }
-
- private:
-  Parallel* prev_;
-};
+using taglets::testing::GlobalParallelOverride;
 
 tensor::Tensor random_matrix(std::size_t rows, std::size_t cols,
                              std::uint64_t seed) {
