@@ -118,6 +118,23 @@ void BM_MatmulThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
+/// A serve-batch GEMM: 16 rows through the end model's 64->160 layer
+/// (164k multiply-adds, below util::kMinParallelWork), so both lane
+/// counts run it inline and should time alike.
+void BM_MatmulServeThreads(benchmark::State& state) {
+  constexpr std::size_t m = 16, k = 64, n = 160;
+  util::Parallel pool(static_cast<std::size_t>(state.range(0)));
+  BenchParallelOverride guard(&pool);
+  tensor::Tensor a = bench_random_matrix(m, k, 3);
+  tensor::Tensor b = bench_random_matrix(k, n, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::matmul(a, b));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * k * n));
+}
+BENCHMARK(BM_MatmulServeThreads)->Arg(1)->Arg(4)->UseRealTime();
+
 // ------------------------------------------------------ SIMD backends
 // scalar vs the best native backend over the same kernels, pinned to
 // the serial pool so the comparison isolates the inner loops.

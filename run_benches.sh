@@ -40,6 +40,8 @@ threads=${TAGLETS_THREADS:-$(nproc)}
 cores=$(nproc)
 cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)
 build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)
+# An empty cache entry means CMakeLists.txt's default, Release.
+build_type=${build_type:-Release}
 for f in BENCH_*.json; do
   python3 - "$f" "$sha$dirty" "$backend" "$threads" "$cores" "$cpu" \
     "$build_type" <<'EOF'

@@ -86,19 +86,20 @@ Tensor ServableModel::quant_logits(const Tensor& inputs) const {
 }
 
 std::vector<std::size_t> ServableModel::batch_labels(const Tensor& inputs) {
-  // One forward pass for the whole batch (the GEMMs inside fan out over
-  // the shared pool), then a row-parallel argmax. Rows are independent,
-  // so the labels match a serial per-row predict() bit for bit.
+  // One forward pass for the whole batch, then a row argmax. Serve-sized
+  // batches are below util::kMinParallelWork, so their GEMMs and the
+  // argmax run inline on the calling worker. Rows are independent, so
+  // the labels match a serial per-row predict() bit for bit.
   Tensor logits = precision_ == Precision::kInt8
                       ? quant_logits(inputs)
                       : model_.logits(inputs, /*training=*/false);
   std::vector<std::size_t> labels(logits.rows());
-  util::parallel_for_ranges(logits.rows(),
-                            [&](std::size_t begin, std::size_t end) {
-                              for (std::size_t i = begin; i < end; ++i) {
-                                labels[i] = tensor::argmax(logits.row(i));
-                              }
-                            });
+  auto argmax_rows = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      labels[i] = tensor::argmax(logits.row(i));
+    }
+  };
+  util::parallel_for_ranges(logits.rows(), argmax_rows, logits.cols());
   return labels;
 }
 

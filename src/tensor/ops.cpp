@@ -53,10 +53,13 @@ bool finite_checks_enabled() {
 
 // All three matmul variants parallelize over disjoint row blocks of C
 // through util::Parallel and hand each row block to the active backend
-// (tensor/backend.hpp). Each output row is accumulated by exactly one
-// chunk in the same p-order as the serial loop, so results are
-// bitwise-identical at every thread count — and, by the backend
-// determinism contract, at every TAGLETS_TENSOR_BACKEND setting.
+// (tensor/backend.hpp). A row of C costs k*n multiply-adds, which is the
+// work estimate passed to the pool: GEMMs below util::kMinParallelWork
+// in total (every serve batch) run inline on the caller. Each output
+// row is accumulated by exactly one chunk in the same p-order as the
+// serial loop, so results are bitwise-identical at every thread count —
+// and, by the backend determinism contract, at every
+// TAGLETS_TENSOR_BACKEND setting.
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   TAGLETS_CHECK(a.is_matrix() && b.is_matrix(), "matmul: rank-2 required");
@@ -69,7 +72,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const float* bp = b.data().data();
   // i-k-j loop order with blocking on k: the innermost (backend) loop
   // walks both B and C rows contiguously.
-  util::parallel_for_ranges(m, [&](std::size_t r0, std::size_t r1) {
+  auto row_block = [&](std::size_t r0, std::size_t r1) {
     for (std::size_t kk = 0; kk < k; kk += kBlock) {
       const std::size_t kend = std::min(k, kk + kBlock);
       // Paired rows share each loaded B strip (see gemm_rowblock2);
@@ -84,7 +87,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                            c.row(i).data());
       }
     }
-  });
+  };
+  util::parallel_for_ranges(m, row_block, k * n);
   return c;
 }
 
@@ -96,7 +100,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
   Tensor c = Tensor::zeros(m, n);
   const backend::Kernels& kern = backend::active();
-  util::parallel_for_ranges(m, [&](std::size_t r0, std::size_t r1) {
+  auto row_block = [&](std::size_t r0, std::size_t r1) {
     for (std::size_t p = 0; p < k; ++p) {
       const float* arow = a.row(p).data();
       const float* brow = b.row(p).data();
@@ -108,7 +112,8 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
         kern.axpy(n, av, brow, c.row(i).data());
       }
     }
-  });
+  };
+  util::parallel_for_ranges(m, row_block, k * n);
   return c;
 }
 
@@ -119,11 +124,12 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   Tensor c = Tensor::zeros(m, n);
   const backend::Kernels& kern = backend::active();
   const float* bp = b.data().data();
-  util::parallel_for_ranges(m, [&](std::size_t r0, std::size_t r1) {
+  auto row_block = [&](std::size_t r0, std::size_t r1) {
     for (std::size_t i = r0; i < r1; ++i) {
       kern.gemm_nt_row(a.row(i).data(), bp, k, n, k, c.row(i).data());
     }
-  });
+  };
+  util::parallel_for_ranges(m, row_block, k * n);
   return c;
 }
 
@@ -232,21 +238,15 @@ Tensor softmax(const Tensor& logits) {
     return out;
   }
   Tensor out = Tensor::zeros(logits.rows(), logits.cols());
-  // Rows are independent; batches below the threshold stay serial so
-  // chunk dispatch never dominates tiny softmaxes. Either path produces
-  // identical bits per row.
-  constexpr std::size_t kParallelMinRows = 64;
+  // Rows are independent, so either path produces identical bits per
+  // row; a row costs about `cols` operations.
   auto run_rows = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       kern.softmax_row(logits.row(i).data(), logits.cols(),
                        out.row(i).data());
     }
   };
-  if (logits.rows() >= kParallelMinRows) {
-    util::parallel_for_ranges(logits.rows(), run_rows);
-  } else {
-    run_rows(0, logits.rows());
-  }
+  util::parallel_for_ranges(logits.rows(), run_rows, logits.cols());
   return out;
 }
 

@@ -86,7 +86,7 @@ Tensor matmul_quant(const Tensor& x, const QuantizedMatrix& q) {
   const std::size_t m = x.rows(), k = x.cols(), n = q.cols;
   Tensor c = Tensor::zeros(m, n);
   const backend::Kernels& kern = backend::active();
-  util::parallel_for_ranges(m, [&](std::size_t r0, std::size_t r1) {
+  auto row_block = [&](std::size_t r0, std::size_t r1) {
     for (std::size_t kk = 0; kk < k; kk += kBlock) {
       const std::size_t kend = std::min(k, kk + kBlock);
       for (std::size_t i = r0; i < r1; ++i) {
@@ -104,7 +104,8 @@ Tensor matmul_quant(const Tensor& x, const QuantizedMatrix& q) {
         }
       }
     }
-  });
+  };
+  util::parallel_for_ranges(m, row_block, k * n);
   return c;
 }
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "util/env.hpp"
@@ -16,6 +19,31 @@ namespace {
 constexpr std::size_t kChunksPerThread = 4;
 
 std::atomic<Parallel*> g_global_override{nullptr};
+
+/// n * cost < kMinParallelWork, written so the product cannot overflow.
+bool below_min_parallel_work(std::size_t n, std::size_t cost) {
+  return cost == 0 || n <= (kMinParallelWork - 1) / cost;
+}
+
+/// TAGLETS_THREADS as a thread count: unset, empty or 0 means "use
+/// hardware_concurrency" (returned as 0); anything but a plain decimal
+/// count is rejected rather than silently replaced by the default.
+std::size_t threads_from_env() {
+  const std::string v = env_string("TAGLETS_THREADS", "");
+  if (v.empty()) return 0;
+  const bool digits = std::all_of(v.begin(), v.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
+  errno = 0;
+  const unsigned long long threads =
+      digits ? std::strtoull(v.c_str(), nullptr, 10) : 0;
+  if (!digits || errno == ERANGE) {
+    throw std::invalid_argument("TAGLETS_THREADS='" + v +
+                                "': expected a non-negative integer "
+                                "(0 or unset = all hardware threads)");
+  }
+  return static_cast<std::size_t>(threads);
+}
 
 }  // namespace
 
@@ -43,10 +71,7 @@ bool Parallel::join_wake_ready(const Loop& loop) const
 }
 
 Parallel::Parallel(std::size_t threads) {
-  if (threads == 0) {
-    const long env = env_long("TAGLETS_THREADS", 0);
-    if (env > 0) threads = static_cast<std::size_t>(env);
-  }
+  if (threads == 0) threads = threads_from_env();
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -115,9 +140,12 @@ void Parallel::run_chunks(const std::shared_ptr<Loop>& loop) {
 }
 
 void Parallel::for_ranges(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t cost_per_index) {
   if (n == 0) return;
-  if (threads_ <= 1 || n == 1) {
+  // Below the minimum work, waking pool threads costs more than it
+  // saves: run on the caller with no enqueue, no wake-up and no span.
+  if (threads_ <= 1 || n == 1 || below_min_parallel_work(n, cost_per_index)) {
     fn(0, n);
     return;
   }
@@ -128,8 +156,8 @@ void Parallel::for_ranges(
 
   auto loop = std::make_shared<Loop>();
   loop->n = n;
-  // Deterministic partition: a pure function of (n, threads_), never of
-  // runtime scheduling.
+  // Deterministic partition: a pure function of (n, threads_) once the
+  // loop fans out, never of runtime scheduling.
   const std::size_t target = std::min(n, threads_ * kChunksPerThread);
   loop->chunk_size = (n + target - 1) / target;
   loop->chunks = (n + loop->chunk_size - 1) / loop->chunk_size;
@@ -214,8 +242,9 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
 }
 
 void parallel_for_ranges(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  Parallel::global().for_ranges(n, fn);
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t cost_per_index) {
+  Parallel::global().for_ranges(n, fn, cost_per_index);
 }
 
 }  // namespace taglets::util

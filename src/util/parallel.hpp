@@ -7,17 +7,21 @@
 // Guarantees:
 //  * Thread count comes from TAGLETS_THREADS (0/unset selects
 //    hardware_concurrency); `TAGLETS_THREADS=1` forces serial inline
-//    execution with no worker threads at all.
+//    execution with no worker threads at all. Any other value that is
+//    not a non-negative integer is an error, not a silent fallback.
+//  * Small loops stay on the caller: a loop whose estimated work
+//    (n x cost_per_index) is below kMinParallelWork runs fn(0, n)
+//    inline, enqueueing and waking nothing. Only larger loops fan out.
 //  * Nesting-safe: a caller that is itself inside a parallel region
 //    executes chunks of its own loop and helps drain the shared queue
 //    while waiting, so nested parallel_for cannot deadlock.
 //  * Exception-safe: a throwing iteration cancels unclaimed chunks, but
 //    the owner joins *all* in-flight chunks before rethrowing the first
 //    exception — no task can outlive the caller's stack frame.
-//  * Deterministic: chunk boundaries are a pure function of (n, thread
-//    count); callers that write disjoint outputs per index and keep a
-//    fixed within-chunk order get bitwise-identical results at every
-//    thread count.
+//  * Deterministic: chunk boundaries are a pure function of (n,
+//    cost_per_index, thread count); callers that write disjoint outputs
+//    per index and keep a fixed within-chunk order get bitwise-identical
+//    results at every thread count.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +35,18 @@
 
 namespace taglets::util {
 
+/// Minimum estimated work, in the caller's cost units (multiply-adds
+/// for GEMMs), for a loop to fan out over the pool. Sits above the
+/// largest serve-batch GEMM (16x64x160 = 164k) and below the batch-64
+/// training GEMMs (64x64x160 = 655k); see docs/PERFORMANCE.md.
+inline constexpr std::size_t kMinParallelWork = std::size_t{1} << 18;
+
 class Parallel {
  public:
   /// `threads == 0` reads TAGLETS_THREADS, falling back to
   /// hardware_concurrency() (min 1). `threads == 1` is serial mode.
+  /// Throws std::invalid_argument naming the knob and its value when
+  /// TAGLETS_THREADS is set but not a non-negative integer.
   explicit Parallel(std::size_t threads = 0);
   ~Parallel();
 
@@ -47,8 +59,13 @@ class Parallel {
   /// Run `fn(begin, end)` over a deterministic partition of [0, n).
   /// Blocks until every chunk has finished; rethrows the first
   /// exception only after all in-flight chunks are joined.
+  /// `cost_per_index` estimates one index's work; when
+  /// n * cost_per_index < kMinParallelWork the call is exactly
+  /// fn(0, n) on the calling thread. The default (no estimate) fans out
+  /// every loop of two or more indices.
   void for_ranges(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
+                  const std::function<void(std::size_t, std::size_t)>& fn,
+                  std::size_t cost_per_index = kMinParallelWork);
 
   /// Run `fn(i)` for every i in [0, n); chunked via for_ranges.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
@@ -93,6 +110,7 @@ class Parallel {
 /// Convenience wrappers over Parallel::global().
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 void parallel_for_ranges(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t cost_per_index = kMinParallelWork);
 
 }  // namespace taglets::util

@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "taglets/controller.hpp"
+#include "tensor/ops.hpp"
 #include "test_support.hpp"
 #include "util/parallel.hpp"
 
@@ -437,6 +438,26 @@ TEST(Trace, ParallelForRangesEmitsTaskBatchSpan) {
   if (util::Parallel::global().threads() > 1) {
     EXPECT_TRUE(found);
   }
+}
+
+TEST(Trace, ParallelSpanOnlyForLoopsThatFanOut) {
+  TraceSandbox sandbox;
+  util::Parallel four(4);
+  taglets::testing::GlobalParallelOverride guard(&four);
+  set_trace_enabled(true);
+  const auto spans = [] {
+    const std::vector<TraceEvent> events = Tracer::global().snapshot();
+    return std::count_if(
+        events.begin(), events.end(),
+        [](const TraceEvent& e) { return e.name == "parallel.for_ranges"; });
+  };
+  const tensor::Tensor w = tensor::Tensor::zeros(64, 160);
+  // A serve batch (16x64x160 multiply-adds) runs inline: no span.
+  (void)tensor::matmul(tensor::Tensor::zeros(16, 64), w);
+  EXPECT_EQ(spans(), 0);
+  // A training batch (64x64x160) is above kMinParallelWork and fans out.
+  (void)tensor::matmul(tensor::Tensor::zeros(64, 64), w);
+  EXPECT_EQ(spans(), 1);
 }
 
 TEST(Trace, ExportCarriesRealPidAndProcessNameLane) {

@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "ensemble/ensemble.hpp"
 #include "obs/trace.hpp"
@@ -16,6 +22,7 @@
 #include "nn/layers.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/quant.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
 #include "util/env.hpp"
@@ -494,6 +501,89 @@ TEST(Parallel, ReadsThreadCountFromEnvironment) {
   ::unsetenv("TAGLETS_THREADS");
 }
 
+/// Sets TAGLETS_THREADS for one scope, restoring the previous value.
+class ThreadsEnvGuard {
+ public:
+  explicit ThreadsEnvGuard(const char* value) {
+    if (const char* prev = std::getenv("TAGLETS_THREADS")) {
+      prev_ = prev;
+      had_prev_ = true;
+    }
+    ::setenv("TAGLETS_THREADS", value, 1);
+  }
+  ~ThreadsEnvGuard() {
+    if (had_prev_) {
+      ::setenv("TAGLETS_THREADS", prev_.c_str(), 1);
+    } else {
+      ::unsetenv("TAGLETS_THREADS");
+    }
+  }
+
+ private:
+  std::string prev_;
+  bool had_prev_ = false;
+};
+
+TEST(Parallel, MalformedThreadsEnvThrowsNamingKnobAndValue) {
+  for (const char* bad : {"four", "4x", "-2"}) {
+    ThreadsEnvGuard env(bad);
+    try {
+      Parallel pool;
+      ADD_FAILURE() << "TAGLETS_THREADS=" << bad << " was accepted as "
+                    << pool.threads() << " threads";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("TAGLETS_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(Parallel, ZeroThreadsEnvSelectsHardwareConcurrency) {
+  ThreadsEnvGuard env("0");
+  Parallel pool;
+  EXPECT_EQ(pool.threads(), std::max<std::size_t>(
+                                1, std::thread::hardware_concurrency()));
+}
+
+TEST(Parallel, BelowMinWorkRunsOnceInlineOnCaller) {
+  Parallel pool(4);
+  const auto caller = std::this_thread::get_id();
+  // 16 x (kMinParallelWork / 16 - 1) is just below the constant.
+  const std::size_t n = 16;
+  const std::size_t cost = kMinParallelWork / n - 1;
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  std::vector<std::thread::id> threads;
+  pool.for_ranges(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        calls.emplace_back(begin, end);
+        threads.push_back(std::this_thread::get_id());
+      },
+      cost);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(std::size_t{0}, n));
+  EXPECT_EQ(threads[0], caller);
+}
+
+TEST(Parallel, AtMinWorkSplitsIntoChunks) {
+  Parallel pool(4);
+  const std::size_t n = 16;
+  std::atomic<int> chunks{0};
+  std::vector<std::atomic<int>> counts(n);
+  // n * cost == kMinParallelWork: the smallest loop that fans out.
+  pool.for_ranges(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        chunks++;
+        for (std::size_t i = begin; i < end; ++i) counts[i]++;
+      },
+      kMinParallelWork / n);
+  EXPECT_GT(chunks.load(), 1);
+  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
 TEST(Parallel, NestedParallelForCompletes) {
   Parallel pool(4);
   GlobalParallelOverride guard(&pool);
@@ -548,26 +638,66 @@ TEST(Parallel, NestedThrowPropagatesWithoutDeadlock) {
 }
 
 TEST(Parallel, MatmulBitwiseIdenticalSerialVsParallel) {
+  // Every product here is above kMinParallelWork, so the 4-lane run
+  // fans out (93x57x80, 57x93x80 and 93x57x58 multiply-adds).
   const tensor::Tensor a = random_matrix(93, 57, 3);
-  const tensor::Tensor b = random_matrix(57, 41, 4);
+  const tensor::Tensor b = random_matrix(57, 80, 4);
   Parallel serial(1);
   Parallel four(4);
   tensor::Tensor c_serial, c_par, tn_serial, tn_par, nt_serial, nt_par;
   {
     GlobalParallelOverride guard(&serial);
     c_serial = tensor::matmul(a, b);
-    tn_serial = tensor::matmul_tn(a, random_matrix(93, 41, 5));
-    nt_serial = tensor::matmul_nt(a, random_matrix(29, 57, 6));
+    tn_serial = tensor::matmul_tn(a, random_matrix(93, 80, 5));
+    nt_serial = tensor::matmul_nt(a, random_matrix(58, 57, 6));
   }
   {
     GlobalParallelOverride guard(&four);
     c_par = tensor::matmul(a, b);
-    tn_par = tensor::matmul_tn(a, random_matrix(93, 41, 5));
-    nt_par = tensor::matmul_nt(a, random_matrix(29, 57, 6));
+    tn_par = tensor::matmul_tn(a, random_matrix(93, 80, 5));
+    nt_par = tensor::matmul_nt(a, random_matrix(58, 57, 6));
   }
   EXPECT_TRUE(bitwise_equal(c_serial, c_par));
   EXPECT_TRUE(bitwise_equal(tn_serial, tn_par));
   EXPECT_TRUE(bitwise_equal(nt_serial, nt_par));
+}
+
+/// Every row-parallel kernel at `rows` rows, computed under `pool`.
+std::vector<tensor::Tensor> kernel_outputs(Parallel& pool, std::size_t rows) {
+  GlobalParallelOverride guard(&pool);
+  // k x n = 64 x 160 (the end model's widest layer) costs 10240 per
+  // row, so 25 rows sit just below kMinParallelWork and 26 just above.
+  constexpr std::size_t k = 64, n = 160;
+  static_assert(25 * k * n < kMinParallelWork &&
+                26 * k * n >= kMinParallelWork);
+  const tensor::Tensor x = random_matrix(rows, k, 40 + rows);
+  const tensor::Tensor w = random_matrix(k, n, 41);
+  // Softmax rows cost `cols`: 1024 columns put 255 rows below the
+  // constant and 256 at it; other row counts use the end model's 10.
+  const bool wide = rows == 255 || rows == 256;
+  const tensor::Tensor logits = random_matrix(rows, wide ? 1024 : 10, 42);
+  return {tensor::matmul(x, w),
+          tensor::matmul_tn(random_matrix(k, rows, 43),
+                            random_matrix(k, n, 44)),
+          tensor::matmul_nt(x, random_matrix(n, k, 45)),
+          tensor::matmul_quant(x, tensor::quantize_rows(w)),
+          tensor::softmax(logits)};
+}
+
+TEST(Parallel, KernelsBitwiseIdenticalAcrossMinWorkBoundary) {
+  Parallel one(1);
+  Parallel four(4);
+  // Serve batches (1, 16), just below / above the constant (25, 26),
+  // training batches (64) and the softmax boundary (255, 256).
+  for (std::size_t rows : {1, 16, 25, 26, 64, 255, 256}) {
+    const auto serial = kernel_outputs(one, rows);
+    const auto lanes = kernel_outputs(four, rows);
+    ASSERT_EQ(serial.size(), lanes.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(serial[i], lanes[i]))
+          << "kernel " << i << " at " << rows << " rows";
+    }
+  }
 }
 
 TEST(Parallel, EnsembleProbaBitwiseIdenticalSerialVsParallel) {
