@@ -4,9 +4,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/atomic_io.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
@@ -33,26 +38,122 @@ std::uint64_t quantize_knob(double value, double scale) {
 
 namespace {
 
-/// Cache key mixing every input that affects pretraining output.
-std::uint64_t config_fingerprint(const synth::WorldConfig& wc,
-                                 const PretrainConfig& pc, Kind kind) {
-  return util::combine_seeds({
-      wc.seed, wc.concept_count, wc.latent_dim, wc.pixel_dim, wc.word_dim,
-      wc.render_hidden_dim, wc.render_regions, wc.style_dim,
-      quantize_knob(wc.style_scale, 1e6),
-      quantize_knob(wc.render_gain, 1e6),
-      quantize_knob(wc.intra_class_noise, 1e6),
-      quantize_knob(wc.pixel_noise, 1e6),
-      quantize_knob(wc.tree_step, 1e6),
-      quantize_knob(wc.domain_shift, 1e6),
-      pc.hidden_dim, pc.feature_dim, pc.images_per_class, pc.epochs,
-      pc.batch_size, quantize_knob(pc.lr, 1e9),
-      quantize_knob(pc.rn50_fraction, 1e6),
-      static_cast<std::uint64_t>(kind),
-  });
+/// FNV-1a over raw bytes: hashes strings into cache keys and checksums
+/// cache payloads.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Cache file header: magic, format, key, payload size and checksum.
+/// Bump kCacheFormat whenever a cached artifact's layout or the code
+/// that trains it changes, so older files read as misses (format 1 was
+/// the headerless backbone file).
+constexpr std::string_view kCacheMagic = "TGLTCACH";
+constexpr std::uint32_t kCacheFormat = 2;
+
+template <class T>
+void write_pod(std::ostream& out, const T& value) {
+  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+template <class T>
+T read_pod(std::istream& in) {
+  T value{};
+  in.read(reinterpret_cast<char*>(&value), sizeof(value));
+  if (!in) throw std::runtime_error("truncated");
+  return value;
+}
+
+/// The payload of a whole cache file written under `key`. Otherwise
+/// nullopt, with `why` saying what was wrong (empty when there is no
+/// file at all).
+std::optional<std::string> read_cache_file(const std::string& path,
+                                           std::uint64_t key,
+                                           std::string& why) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return std::nullopt;
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  std::istringstream in(bytes.str());
+  try {
+    std::string magic(kCacheMagic.size(), '\0');
+    in.read(magic.data(), static_cast<std::streamsize>(magic.size()));
+    if (magic != kCacheMagic || read_pod<std::uint32_t>(in) != kCacheFormat) {
+      why = "not a cache file of this format";
+    } else if (read_pod<std::uint64_t>(in) != key) {
+      why = "written under another key";
+    } else {
+      const auto size = read_pod<std::uint64_t>(in);
+      const auto hash = read_pod<std::uint64_t>(in);
+      std::string payload(std::istreambuf_iterator<char>(in), {});
+      if (payload.size() != size) {
+        why = "truncated payload";
+      } else if (fnv1a(payload) != hash) {
+        why = "corrupt payload";
+      } else {
+        return payload;
+      }
+    }
+  } catch (const std::runtime_error&) {
+    why = "truncated header";
+  }
+  return std::nullopt;
+}
+
+Pretrained read_backbone(std::istream& in, Kind kind,
+                         std::size_t feature_dim) {
+  Pretrained p;
+  p.kind = kind;
+  p.feature_dim = feature_dim;
+  util::Rng rng(0);
+  p.encoder = nn::Sequential::load(in, rng);
+  p.pretrain_concepts.resize(read_pod<std::uint64_t>(in));
+  for (auto& c : p.pretrain_concepts) {
+    c = static_cast<graph::NodeId>(read_pod<std::uint64_t>(in));
+  }
+  p.final_train_accuracy = read_pod<double>(in);
+  return p;
+}
+
+void write_backbone(std::ostream& out, const Pretrained& backbone) {
+  backbone.encoder.save(out);
+  write_pod<std::uint64_t>(out, backbone.pretrain_concepts.size());
+  for (graph::NodeId c : backbone.pretrain_concepts) {
+    write_pod<std::uint64_t>(out, c);
+  }
+  write_pod(out, backbone.final_train_accuracy);
 }
 
 }  // namespace
+
+std::uint64_t pretrain_key(const synth::WorldConfig& wc,
+                           const PretrainConfig& pc) {
+  std::uint64_t names = wc.named_concepts.size();
+  for (const std::string& name : wc.named_concepts) {
+    names = util::combine_seeds({names, fnv1a(name)});
+  }
+  return util::combine_seeds({
+      wc.seed, wc.concept_count, wc.min_children, wc.max_children,
+      wc.cross_edges, quantize_knob(wc.cross_edge_locality, 1e6),
+      wc.latent_dim, quantize_knob(wc.tree_step, 1e6),
+      quantize_knob(wc.cross_pull, 1e6), wc.pixel_dim, wc.render_hidden_dim,
+      quantize_knob(wc.render_gain, 1e6), wc.render_regions, wc.style_dim,
+      quantize_knob(wc.style_scale, 1e6),
+      quantize_knob(wc.intra_class_noise, 1e6),
+      quantize_knob(wc.pixel_noise, 1e6), quantize_knob(wc.domain_shift, 1e6),
+      quantize_knob(wc.clipart_shift_scale, 1e6), wc.word_dim,
+      quantize_knob(wc.word_noise, 1e6), quantize_knob(wc.oov_fraction, 1e6),
+      wc.retrofit_iterations, names,
+      pc.hidden_dim, pc.feature_dim, pc.images_per_class, pc.epochs,
+      pc.batch_size, quantize_knob(pc.lr, 1e9), quantize_knob(pc.momentum, 1e9),
+      quantize_knob(pc.rn50_fraction, 1e6),
+  });
+}
 
 Zoo::Zoo(const synth::World* world, PretrainConfig config,
          std::optional<std::string> cache_dir)
@@ -63,72 +164,73 @@ Zoo::Zoo(const synth::World* world, PretrainConfig config,
   cache_dir_ = cache_dir.value_or(env != nullptr ? env : ".taglets_cache");
 }
 
-std::string Zoo::cache_path(Kind kind) const {
+std::uint64_t Zoo::backbone_key(Kind kind) const {
+  return util::combine_seeds({pretrain_key(world_->config(), config_),
+                              static_cast<std::uint64_t>(kind)});
+}
+
+std::string Zoo::cache_path(const std::string& stem, std::uint64_t key) const {
   if (cache_dir_.empty()) return {};
-  const std::uint64_t fp = config_fingerprint(world_->config(), config_, kind);
-  return cache_dir_ + "/backbone_" + std::to_string(fp) + ".bin";
+  return cache_dir_ + "/" + stem + "_" + std::to_string(key) + ".bin";
 }
 
-std::optional<Pretrained> Zoo::load_cached(Kind kind) const {
-  const std::string path = cache_path(kind);
-  if (path.empty()) return std::nullopt;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  try {
-    Pretrained p;
-    p.kind = kind;
-    p.feature_dim = config_.feature_dim;
-    util::Rng rng(0);
-    p.encoder = nn::Sequential::load(in, rng);
-    std::uint64_t n = 0;
-    in.read(reinterpret_cast<char*>(&n), sizeof(n));
-    p.pretrain_concepts.resize(n);
-    for (auto& c : p.pretrain_concepts) {
-      std::uint64_t v = 0;
-      in.read(reinterpret_cast<char*>(&v), sizeof(v));
-      c = static_cast<graph::NodeId>(v);
+bool Zoo::load_or_build(const std::string& stem, std::uint64_t key,
+                        const std::function<void(std::istream&)>& load,
+                        const std::function<void()>& build,
+                        const std::function<void(std::ostream&)>& save) const {
+  auto& registry = obs::MetricsRegistry::global();
+  const std::string path = cache_path(stem, key);
+  if (!path.empty()) {
+    std::string why;
+    if (auto payload = read_cache_file(path, key, why)) {
+      try {
+        std::istringstream in(std::move(*payload));
+        load(in);
+        registry.counter("zoo.cache_hits_total").add();
+        TAGLETS_LOG(kInfo) << "loaded cached " << stem << " from " << path;
+        return true;
+      } catch (const std::exception& e) {
+        why = std::string("unreadable payload: ") + e.what();
+      }
     }
-    in.read(reinterpret_cast<char*>(&p.final_train_accuracy),
-            sizeof(p.final_train_accuracy));
-    if (!in) return std::nullopt;
-    TAGLETS_LOG(kInfo) << "loaded cached backbone " << kind_name(kind);
-    return p;
-  } catch (const std::exception&) {
-    return std::nullopt;
+    if (!why.empty()) {
+      TAGLETS_LOG(kWarn) << "ignoring cache file " << path << " (" << why
+                         << "); rebuilding " << stem;
+    }
   }
-}
+  registry.counter("zoo.cache_misses_total").add();
+  build();
+  if (path.empty()) return false;
 
-void Zoo::store_cached(Kind kind, const Pretrained& backbone) const {
-  const std::string path = cache_path(kind);
-  if (path.empty()) return;
-  std::error_code ec;
-  std::filesystem::create_directories(cache_dir_, ec);
   // The cache is a pure optimization: a failed write (full disk,
-  // injected fault) is logged and swallowed — training already
+  // injected fault) is logged and swallowed, since the build already
   // succeeded. The write-temp-then-rename protocol guarantees the
   // previous cache file (or none) survives a crash or a concurrent
   // writer; the rename winner is whole either way.
   try {
+    std::ostringstream body;
+    save(body);
+    const std::string payload = body.str();
+    std::error_code ec;
+    std::filesystem::create_directories(cache_dir_, ec);
     util::fault::retry_with_backoff(
-        "backbone cache " + std::string(kind_name(kind)),
-        util::fault::RetryPolicy::from_env(), [&] {
+        "cache write " + path, util::fault::RetryPolicy::from_env(), [&] {
           util::atomic_write_stream(path, "zoo.cache", [&](std::ostream& out) {
-            backbone.encoder.save(out);
-            const std::uint64_t n = backbone.pretrain_concepts.size();
-            out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-            for (graph::NodeId c : backbone.pretrain_concepts) {
-              const std::uint64_t v = c;
-              out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-            }
-            out.write(
-                reinterpret_cast<const char*>(&backbone.final_train_accuracy),
-                sizeof(backbone.final_train_accuracy));
+            out.write(kCacheMagic.data(),
+                      static_cast<std::streamsize>(kCacheMagic.size()));
+            write_pod(out, kCacheFormat);
+            write_pod(out, key);
+            write_pod<std::uint64_t>(out, payload.size());
+            write_pod(out, fnv1a(payload));
+            out.write(payload.data(),
+                      static_cast<std::streamsize>(payload.size()));
           });
         });
   } catch (const std::runtime_error& e) {
-    TAGLETS_LOG(kWarn) << "backbone cache write failed for "
-                       << kind_name(kind) << ": " << e.what();
+    TAGLETS_LOG(kWarn) << "cache write failed for " << path << ": "
+                       << e.what();
   }
+  return false;
 }
 
 Pretrained& Zoo::get(Kind kind) {
@@ -148,12 +250,23 @@ Pretrained& Zoo::get(Kind kind) {
   lock.unlock();
   std::optional<Pretrained> built;
   try {
-    built = load_cached(kind);
-    if (!built) {
-      built = pretrain_backbone(*world_, kind, config_);
-      obs::MetricsRegistry::global().counter("backbone.pretrained_total").add();
-      store_cached(kind, *built);
+    obs::TraceSpan span;
+    if (obs::trace_enabled()) {
+      span.begin("backbone.get", {{"kind", kind_name(kind)}});
     }
+    const bool hit = load_or_build(
+        "backbone", backbone_key(kind),
+        [&](std::istream& in) {
+          built = read_backbone(in, kind, config_.feature_dim);
+        },
+        [&] {
+          built = pretrain_backbone(*world_, kind, config_);
+          obs::MetricsRegistry::global()
+              .counter("backbone.pretrained_total")
+              .add();
+        },
+        [&](std::ostream& out) { write_backbone(out, *built); });
+    span.add_attr("cache", hit ? "hit" : "miss");
   } catch (...) {
     lock.lock();
     building_.erase(kind);

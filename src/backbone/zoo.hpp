@@ -1,6 +1,7 @@
 // Backbone zoo: lazily pretrains and memoizes the two simulated
 // backbones for a world, with an optional on-disk cache so repeated
-// bench invocations skip pretraining.
+// runs skip pretraining. The same disk cache holds other artifacts
+// trained once per world (the ZSL-KG engine) through load_or_build.
 //
 // Thread-safe: get() and zsl_reference() may be called from concurrent
 // pool lanes (the task-graph pipeline overlaps the backbone fetch with
@@ -14,8 +15,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <istream>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -32,6 +36,14 @@ namespace taglets::backbone {
 /// negative knob (e.g. a negative domain_shift) and could silently
 /// collide cache keys. Exposed for unit tests.
 std::uint64_t quantize_knob(double value, double scale);
+
+/// Cache key over every WorldConfig and PretrainConfig field: anything
+/// that changes a pretrained backbone must change its key. The
+/// word-vector fields are included because the world draws its word
+/// vectors from the same stream as its camera, so they change the
+/// rendered images too. Keys of other per-world artifacts extend this.
+std::uint64_t pretrain_key(const synth::WorldConfig& world,
+                           const PretrainConfig& config);
 
 class Zoo {
  public:
@@ -51,13 +63,31 @@ class Zoo {
 
   /// Frozen-feature reference head over the ImageNet-1k-S concepts,
   /// computed against the RN50-S backbone (ZSL-KG supervision).
-  /// Safe to call concurrently; trains at most once.
+  /// Safe to call concurrently; trains at most once. Not kept on disk:
+  /// its only reader, ZslKgEngine, caches its own trained result.
   const ReferenceHead& zsl_reference();
 
+  /// Cache key of the backbone of `kind`.
+  std::uint64_t backbone_key(Kind kind) const;
+  /// Disk-cache file of artifact `stem` under `key`
+  /// ("<dir>/<stem>_<key>.bin"), or "" when the disk cache is off.
+  std::string cache_path(const std::string& stem, std::uint64_t key) const;
+
+  /// The disk cache's one entry point. When `cache_path(stem, key)` holds
+  /// a whole file whose header names `key`, streams its payload to
+  /// `load` and returns true (a hit). Otherwise — no cache, no file, a
+  /// truncated or corrupt file, a wrong key, or `load` throwing — runs
+  /// `build`, streams the result out through `save` and returns false (a
+  /// miss). A failed write is logged, never thrown: the artifact is
+  /// built either way. Counts zoo.cache_hits_total and
+  /// zoo.cache_misses_total (with the disk cache off, every build is a
+  /// miss). `load` must leave its artifact untouched when it throws.
+  bool load_or_build(const std::string& stem, std::uint64_t key,
+                     const std::function<void(std::istream&)>& load,
+                     const std::function<void()>& build,
+                     const std::function<void(std::ostream&)>& save) const;
+
  private:
-  std::string cache_path(Kind kind) const;
-  std::optional<Pretrained> load_cached(Kind kind) const;
-  void store_cached(Kind kind, const Pretrained& backbone) const;
 
   /// CondVar wait predicates; they run with mu_ held by the wait
   /// machinery, which the static analysis cannot see.

@@ -23,8 +23,8 @@ struct LabConfig {
   std::size_t aux_images_per_concept = 28;
   backbone::PretrainConfig pretrain{};
   modules::ZslKgEngine::Config zsl{};
-  /// Disk cache directory for backbones ("" = no disk cache; unset =
-  /// the Zoo default, which reads TAGLETS_CACHE).
+  /// Disk cache directory for backbones and the ZSL-KG engine ("" = no
+  /// disk cache; unset = the Zoo default, which reads TAGLETS_CACHE).
   std::optional<std::string> cache_dir;
 };
 
@@ -35,7 +35,8 @@ class Lab {
   synth::World& world() { return *world_; }
   backbone::Zoo& zoo() { return *zoo_; }
   scads::Scads& scads() { return *scads_; }
-  /// Lazily pretrains the ZSL-KG engine on first use.
+  /// Lazily builds the ZSL-KG engine on first use (loaded from the
+  /// zoo's disk cache, or pretrained and cached).
   modules::ZslKgEngine& zsl_engine();
 
   /// Full image pool for a task (cached per spec).

@@ -71,7 +71,7 @@ Taglet MultiTaskModule::train(const ModuleContext& context) const {
         Tensor logits = target_head.forward(features, true);
         auto loss = nn::cross_entropy(logits, y);
         Tensor grad_features = target_head.backward(loss.grad_logits);
-        encoder.backward(grad_features);
+        encoder.accumulate_grads(grad_features);
       }
 
       // Auxiliary loss on the driver batch, scaled by lambda (Eq. 5).
@@ -87,7 +87,7 @@ Taglet MultiTaskModule::train(const ModuleContext& context) const {
         Tensor scaled =
             tensor::scale(loss.grad_logits, static_cast<float>(config_.lambda));
         Tensor grad_features = aux_head.backward(scaled);
-        encoder.backward(grad_features);
+        encoder.accumulate_grads(grad_features);
       }
 
       optimizer.step();

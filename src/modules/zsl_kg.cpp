@@ -5,12 +5,30 @@
 
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/trace.hpp"
+#include "tensor/serialize.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
 
 namespace taglets::modules {
 
 using tensor::Tensor;
+
+namespace {
+
+/// Cache key of the engine: the RN50-S backbone it trains against (every
+/// world and pretraining field) extended with every engine config field.
+std::uint64_t engine_key(const backbone::Zoo& zoo,
+                         const ZslKgEngine::Config& config) {
+  return util::combine_seeds({
+      zoo.backbone_key(backbone::Kind::kRn50S), config.hidden_dim,
+      config.epochs, config.batch_size,
+      backbone::quantize_knob(config.lr, 1e9),
+      backbone::quantize_knob(config.weight_decay, 1e9), config.val_classes,
+  });
+}
+
+}  // namespace
 
 ZslKgEngine::ZslKgEngine(backbone::Zoo& zoo, Config config)
     : gnn_([&] {
@@ -21,8 +39,43 @@ ZslKgEngine::ZslKgEngine(backbone::Zoo& zoo, Config config)
         util::Rng rng(util::combine_seeds({zoo.world().config().seed, 0x25E1ULL}));
         return TrGcn(gc, rng);
       }()),
-      encoder_(zoo.get(backbone::Kind::kRn50S).encoder),
       feature_dim_(zoo.config().feature_dim) {
+  obs::TraceSpan span;
+  if (obs::trace_enabled()) span.begin("zsl.engine");
+  encoder_ = zoo.get(backbone::Kind::kRn50S).encoder;
+  const bool hit = zoo.load_or_build(
+      "zsl_kg", engine_key(zoo, config),
+      [&](std::istream& in) { load_state(in); },
+      [&] { pretrain(zoo, config); },
+      [&](std::ostream& out) { save_state(out); });
+  span.add_attr("cache", hit ? "hit" : "miss");
+}
+
+void ZslKgEngine::save_state(std::ostream& out) const {
+  for (const Tensor& p : gnn_.snapshot()) tensor::write_tensor(out, p);
+  out.write(reinterpret_cast<const char*>(&best_val_loss_),
+            sizeof(best_val_loss_));
+}
+
+void ZslKgEngine::load_state(std::istream& in) {
+  std::vector<Tensor> params = gnn_.snapshot();
+  for (Tensor& p : params) {
+    Tensor cached = tensor::read_tensor(in);
+    if (!tensor::same_shape(cached, p)) {
+      throw std::runtime_error("ZSL-KG cache: parameter of shape " +
+                               cached.shape_string() + ", expected " +
+                               p.shape_string());
+    }
+    p = std::move(cached);
+  }
+  double best_val_loss = 0.0;
+  in.read(reinterpret_cast<char*>(&best_val_loss), sizeof(best_val_loss));
+  if (!in) throw std::runtime_error("ZSL-KG cache: truncated");
+  gnn_.restore(params);
+  best_val_loss_ = best_val_loss;
+}
+
+void ZslKgEngine::pretrain(backbone::Zoo& zoo, const Config& config) {
   const auto& reference = zoo.zsl_reference();
   const auto& world = zoo.world();
   const Tensor& features = world.scads_embeddings();

@@ -6,7 +6,12 @@
 // selection as in Appendix A.5). At task time the GNN predicts a head
 // for each *target* class from the SCADS graph — including novel
 // user-added concepts — and the head is installed on the frozen encoder.
+// The trained GNN is kept in the zoo's disk cache, so only the first
+// run for a world pays for its training.
 #pragma once
+
+#include <istream>
+#include <ostream>
 
 #include "backbone/zoo.hpp"
 #include "modules/module.hpp"
@@ -26,8 +31,10 @@ class ZslKgEngine {
     std::size_t val_classes = 30;  // paper: 950/50 split
   };
 
-  /// Pretrains the GNN against the zoo's reference head. Deterministic
-  /// given (zoo's world, config).
+  /// Loads the trained GNN from the zoo's disk cache, or pretrains it
+  /// against the zoo's reference head (and caches it) on a miss. Either
+  /// way the engine is bitwise the same: deterministic given (zoo's
+  /// world, zoo's pretraining config, config).
   ZslKgEngine(backbone::Zoo& zoo, Config config);
   explicit ZslKgEngine(backbone::Zoo& zoo) : ZslKgEngine(zoo, Config()) {}
 
@@ -45,6 +52,12 @@ class ZslKgEngine {
   double best_validation_loss() const { return best_val_loss_; }
 
  private:
+  void pretrain(backbone::Zoo& zoo, const Config& config);
+  /// Cache payload: the GNN's parameters, then best_val_loss_. load_state
+  /// changes nothing unless the whole payload reads back.
+  void save_state(std::ostream& out) const;
+  void load_state(std::istream& in);
+
   TrGcn gnn_;
   nn::Sequential encoder_;
   std::size_t feature_dim_;

@@ -58,8 +58,11 @@ std::vector<std::size_t> Classifier::predict(const Tensor& inputs) {
 }
 
 void Classifier::backward(const Tensor& grad_logits) {
-  Tensor grad_features = head_->backward(grad_logits);
-  if (!encoder_frozen_) encoder_.backward(grad_features);
+  if (encoder_frozen_) {
+    head_->accumulate_grads(grad_logits);
+  } else {
+    encoder_.accumulate_grads(head_->backward(grad_logits));
+  }
 }
 
 std::vector<Parameter*> Classifier::parameters() {

@@ -44,7 +44,10 @@ class Classifier {
   std::vector<std::size_t> predict(const tensor::Tensor& inputs);
 
   /// Backprop a dL/dlogits gradient through head and (unless frozen)
-  /// encoder. Must follow a matching logits(..., training) call.
+  /// encoder, accumulating parameter gradients only: no gradient with
+  /// respect to the inputs is computed. Must follow a matching forward
+  /// of the head (logits(..., training), or head().forward on features
+  /// when the encoder is frozen).
   void backward(const tensor::Tensor& grad_logits);
 
   /// Trainable parameters; encoder excluded when frozen.

@@ -38,6 +38,14 @@ class Layer {
   /// returns dL/d(input). Must be called after a matching forward().
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
 
+  /// Params-only backprop: accumulates the same parameter gradients as
+  /// backward() but returns no dL/d(input), so a layer whose input
+  /// gradient nobody reads may skip computing it. Must be called after a
+  /// matching forward().
+  virtual void accumulate_grads(const tensor::Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Parameter*> parameters() { return {}; }
 
@@ -55,6 +63,8 @@ class Linear : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// dW and db only; skips the dx = g W^T GEMM.
+  void accumulate_grads(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Linear"; }

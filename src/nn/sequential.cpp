@@ -41,6 +41,19 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   return g;
 }
 
+void Sequential::accumulate_grads(const Tensor& grad_output) {
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->parameters().empty()) {
+    ++first;
+  }
+  if (first == layers_.size()) return;
+  Tensor g = grad_output;
+  for (std::size_t i = layers_.size() - 1; i > first; --i) {
+    g = layers_[i]->backward(g);
+  }
+  layers_[first]->accumulate_grads(g);
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> out;
   for (auto& l : layers_) {

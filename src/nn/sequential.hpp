@@ -26,6 +26,10 @@ class Sequential : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// Backprops only as far as the input-most layer with parameters, and
+  /// asks that layer for its parameter gradients alone: the layers below
+  /// it have nothing to train and the caller reads no input gradient.
+  void accumulate_grads(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Sequential"; }

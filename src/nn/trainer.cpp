@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -54,6 +55,26 @@ bool clip_grad_norm(std::span<Parameter* const> params, double max_norm) {
 
 namespace {
 
+/// Throws unless every layer of `encoder` gives the same output in
+/// training mode on every call; only such an encoder, when frozen, can
+/// have its features computed once per fit. `path` prefixes nested
+/// layer indices.
+void require_deterministic_encoder(const Sequential& encoder,
+                                   const std::string& path = "") {
+  for (std::size_t i = 0; i < encoder.layer_count(); ++i) {
+    const Layer& layer = encoder.layer(i);
+    const std::string where = path + std::to_string(i);
+    if (const auto* inner = dynamic_cast<const Sequential*>(&layer)) {
+      require_deterministic_encoder(*inner, where + ".");
+    } else if (dynamic_cast<const Dropout*>(&layer) != nullptr) {
+      throw std::invalid_argument(
+          "fit: frozen encoder layer " + where + " (" + layer.name() +
+          ") is random in training mode; a frozen encoder must be "
+          "deterministic so its features can be computed once");
+    }
+  }
+}
+
 /// Shared epoch loop; `loss_fn` maps (logits, batch indices) to a
 /// LossResult whose grad is backpropagated.
 FitReport run_fit(
@@ -61,6 +82,7 @@ FitReport run_fit(
     const FitConfig& config, util::Rng& rng,
     const std::function<LossResult(const Tensor&,
                                    const std::vector<std::size_t>&)>& loss_fn) {
+  if (config.freeze_encoder) require_deterministic_encoder(model.encoder());
   if (n == 0) return FitReport{};
   model.set_encoder_frozen(config.freeze_encoder);
   auto params = model.parameters();
@@ -78,6 +100,14 @@ FitReport run_fit(
   TAGLETS_TRACE_SCOPE("nn.fit", {{"epochs", std::to_string(epochs)},
                                  {"n", std::to_string(n)},
                                  {"steps", std::to_string(total_steps)}});
+  // A frozen encoder's output cannot change during the fit: compute it
+  // once, and each step runs the head alone. Every output row of a
+  // kernel is computed the same way whatever the batch, so this is
+  // bitwise equal to running the encoder per batch (docs/PERFORMANCE.md).
+  Tensor features;
+  if (config.freeze_encoder) {
+    features = model.features(inputs, /*training=*/false);
+  }
   auto& registry = obs::MetricsRegistry::global();
   obs::Gauge& loss_gauge = registry.gauge("nn.last_epoch_loss");
 
@@ -88,8 +118,10 @@ FitReport run_fit(
     double epoch_loss = 0.0;
     std::size_t batches_seen = 0;
     for (const auto& batch : make_batches(n, config.batch_size, rng)) {
-      Tensor x = inputs.gather_rows(batch);
-      Tensor logits = model.logits(x, /*training=*/true);
+      Tensor logits =
+          config.freeze_encoder
+              ? model.head().forward(features.gather_rows(batch), true)
+              : model.logits(inputs.gather_rows(batch), /*training=*/true);
       LossResult loss = loss_fn(logits, batch);
       model.zero_grad();
       model.backward(loss.grad_logits);

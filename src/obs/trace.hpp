@@ -120,6 +120,11 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   void begin(std::string name, TraceAttrs attrs = {});
+  /// Adds an attribute known only once the span's work is done (whether
+  /// a cache lookup hit, say). No-op on an inert span.
+  void add_attr(std::string key, std::string value) {
+    if (active_) attrs_.emplace_back(std::move(key), std::move(value));
+  }
 
  private:
   void finish();

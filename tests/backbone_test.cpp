@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <thread>
@@ -155,6 +158,157 @@ TEST(Zoo, EmptyCacheEnvDisablesDiskCache) {
   fs::current_path(previous_cwd);
   if (saved_env.has_value()) setenv("TAGLETS_CACHE", saved_env->c_str(), 1);
   fs::remove_all(cwd);
+}
+
+TEST(Zoo, CacheKeyCoversEveryConfigField) {
+  // Each world and pretraining field changes what pretraining produces,
+  // so changing any one of them must change the key (a stale backbone
+  // was silently reused when momentum or a graph field changed).
+  const synth::WorldConfig wc = taglets::testing::small_world_config();
+  const PretrainConfig pc = taglets::testing::small_pretrain_config();
+  const std::uint64_t base = pretrain_key(wc, pc);
+  EXPECT_EQ(pretrain_key(wc, pc), base);
+  const std::vector<std::function<void(synth::WorldConfig&)>> world_edits = {
+      [](auto& c) { c.seed += 1; },
+      [](auto& c) { c.concept_count += 1; },
+      [](auto& c) { c.min_children += 1; },
+      [](auto& c) { c.max_children += 1; },
+      [](auto& c) { c.cross_edges += 1; },
+      [](auto& c) { c.cross_edge_locality += 0.5; },
+      [](auto& c) { c.latent_dim += 1; },
+      [](auto& c) { c.tree_step += 0.01; },
+      [](auto& c) { c.cross_pull += 0.01; },
+      [](auto& c) { c.pixel_dim += 1; },
+      [](auto& c) { c.render_hidden_dim += 1; },
+      [](auto& c) { c.render_gain += 0.01; },
+      [](auto& c) { c.render_regions += 1; },
+      [](auto& c) { c.style_dim += 1; },
+      [](auto& c) { c.style_scale += 0.01; },
+      [](auto& c) { c.intra_class_noise += 0.01; },
+      [](auto& c) { c.pixel_noise += 0.01; },
+      [](auto& c) { c.domain_shift += 0.01; },
+      [](auto& c) { c.clipart_shift_scale += 0.01; },
+      [](auto& c) { c.word_dim += 1; },
+      [](auto& c) { c.word_noise += 0.01; },
+      [](auto& c) { c.oov_fraction += 0.01; },
+      [](auto& c) { c.retrofit_iterations += 1; },
+      [](auto& c) { c.named_concepts.push_back("extra"); },
+      [](auto& c) { c.named_concepts.back() += "x"; },
+  };
+  for (std::size_t i = 0; i < world_edits.size(); ++i) {
+    synth::WorldConfig edited = wc;
+    world_edits[i](edited);
+    EXPECT_NE(pretrain_key(edited, pc), base) << "world edit " << i;
+  }
+  const std::vector<std::function<void(PretrainConfig&)>> pretrain_edits = {
+      [](auto& c) { c.hidden_dim += 1; },
+      [](auto& c) { c.feature_dim += 1; },
+      [](auto& c) { c.images_per_class += 1; },
+      [](auto& c) { c.epochs += 1; },
+      [](auto& c) { c.batch_size += 1; },
+      [](auto& c) { c.lr += 1e-4; },
+      [](auto& c) { c.momentum -= 0.05; },
+      [](auto& c) { c.rn50_fraction += 0.01; },
+  };
+  for (std::size_t i = 0; i < pretrain_edits.size(); ++i) {
+    PretrainConfig edited = pc;
+    pretrain_edits[i](edited);
+    EXPECT_NE(pretrain_key(wc, edited), base) << "pretrain edit " << i;
+  }
+}
+
+TEST(Zoo, MomentumOrCrossEdgesChangeTheBackbonePath) {
+  auto& world = taglets::testing::small_world();
+  const PretrainConfig pc = taglets::testing::small_pretrain_config();
+  const Zoo zoo(&world, pc, "cache");
+  const std::string path = zoo.cache_path("backbone", zoo.backbone_key(Kind::kRn50S));
+
+  PretrainConfig other_momentum = pc;
+  other_momentum.momentum = 0.5;
+  const Zoo momentum_zoo(&world, other_momentum, "cache");
+  EXPECT_NE(momentum_zoo.cache_path(
+                "backbone", momentum_zoo.backbone_key(Kind::kRn50S)),
+            path);
+
+  synth::WorldConfig wc = taglets::testing::small_world_config();
+  wc.cross_edges += 50;
+  const synth::World other_world(wc);
+  const Zoo graph_zoo(&other_world, pc, "cache");
+  EXPECT_NE(graph_zoo.cache_path("backbone",
+                                 graph_zoo.backbone_key(Kind::kRn50S)),
+            path);
+  EXPECT_NE(zoo.backbone_key(Kind::kBitS), zoo.backbone_key(Kind::kRn50S));
+}
+
+TEST(Zoo, LoadOrBuildRebuildsOnTruncatedCorruptOrWrongKeyFiles) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "taglets_backbone_test_probe";
+  fs::remove_all(dir);
+  const Zoo zoo(&taglets::testing::small_world(),
+                taglets::testing::small_pretrain_config(), dir.string());
+  auto& registry = obs::MetricsRegistry::global();
+  auto& hits = registry.counter("zoo.cache_hits_total");
+  auto& misses = registry.counter("zoo.cache_misses_total");
+
+  // A probe artifact: a string the cache round-trips.
+  const std::string artifact = "probe payload 0123456789";
+  std::string value;
+  int builds = 0;
+  auto fetch = [&](std::uint64_t key) {
+    value.clear();
+    return zoo.load_or_build(
+        "probe", key,
+        [&](std::istream& in) {
+          value.assign(std::istreambuf_iterator<char>(in), {});
+        },
+        [&] {
+          ++builds;
+          value = artifact;
+        },
+        [&](std::ostream& out) { out << value; });
+  };
+  const std::string path = zoo.cache_path("probe", 42);
+  auto rewrite = [&](const std::function<void(std::string&)>& edit) {
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    edit(bytes);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  };
+
+  const auto hits0 = hits.value();
+  const auto misses0 = misses.value();
+  EXPECT_FALSE(fetch(42));  // cold: builds and stores
+  EXPECT_TRUE(fs::exists(path));
+  EXPECT_TRUE(fetch(42));   // warm: loads
+  EXPECT_EQ(value, artifact);
+  EXPECT_EQ(builds, 1);
+
+  rewrite([](std::string& b) { b.resize(b.size() - 3); });  // truncated
+  EXPECT_FALSE(fetch(42));
+  EXPECT_EQ(value, artifact);
+  EXPECT_TRUE(fetch(42)) << "the rebuild did not rewrite the file";
+
+  rewrite([](std::string& b) { b.back() ^= 0x01; });  // corrupt payload
+  EXPECT_FALSE(fetch(42));
+  rewrite([](std::string& b) { b[0] ^= 0x01; });  // corrupt magic
+  EXPECT_FALSE(fetch(42));
+  rewrite([](std::string& b) { b.resize(5); });  // truncated header
+  EXPECT_FALSE(fetch(42));
+
+  // A whole file under another key's name is not that key's artifact.
+  fs::copy_file(path, zoo.cache_path("probe", 43));
+  EXPECT_FALSE(fetch(43));
+  EXPECT_EQ(value, artifact);
+  EXPECT_EQ(builds, 6);
+  EXPECT_EQ(hits.value() - hits0, 2u);
+  EXPECT_EQ(misses.value() - misses0, 6u);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_FALSE(entry.path().string().ends_with(".tmp")) << entry.path();
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Zoo, RejectsNullWorld) {

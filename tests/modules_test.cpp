@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 
 #include "backbone/zoo.hpp"
 #include "modules/fixmatch.hpp"
@@ -14,6 +19,8 @@
 #include "nn/grad_check.hpp"
 #include "nn/loss.hpp"
 #include "nn/trainer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "scads/selection.hpp"
 #include "test_support.hpp"
 
@@ -290,6 +297,160 @@ TEST(ZslKgEngine, UnknownClassGetsZeroWeights) {
   nn::Linear head = engine.predict_head(taglets::testing::small_scads(),
                                         {"totally_unknown_xyz"});
   EXPECT_FLOAT_EQ(head.weight().value.squared_norm(), 0.0f);
+}
+
+// ------------------------------------------------ ZSL-KG engine cache
+
+namespace fs = std::filesystem;
+
+/// Cheap settings for engines that train from a cold zoo.
+backbone::PretrainConfig cache_pretrain_config() {
+  backbone::PretrainConfig config = taglets::testing::small_pretrain_config();
+  config.epochs = 2;
+  return config;
+}
+
+ZslKgEngine::Config cache_engine_config() {
+  ZslKgEngine::Config config;
+  config.epochs = 4;
+  config.val_classes = 10;
+  return config;
+}
+
+fs::path fresh_dir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() / ("taglets_modules_test_" + name);
+  fs::remove_all(dir);
+  return dir;
+}
+
+/// The one zsl_kg_* file in `dir` ("" when there is none).
+std::string engine_file(const fs::path& dir) {
+  std::string found;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().starts_with("zsl_kg_")) {
+      EXPECT_TRUE(found.empty()) << "two engine files in " << dir;
+      found = entry.path().string();
+    }
+  }
+  return found;
+}
+
+/// Bitwise equality of two engines' predicted heads and validation loss.
+void expect_same_engine(const ZslKgEngine& a, const ZslKgEngine& b) {
+  const auto& classes = fixture().task.class_names;
+  nn::Linear ha = a.predict_head(taglets::testing::small_scads(), classes);
+  nn::Linear hb = b.predict_head(taglets::testing::small_scads(), classes);
+  for (auto [ta, tb] : {std::pair{&ha.weight().value, &hb.weight().value},
+                        std::pair{&ha.bias().value, &hb.bias().value}}) {
+    ASSERT_TRUE(tensor::same_shape(*ta, *tb));
+    EXPECT_EQ(std::memcmp(ta->data().data(), tb->data().data(),
+                          ta->size() * sizeof(float)),
+              0);
+  }
+  EXPECT_EQ(a.best_validation_loss(), b.best_validation_loss());
+}
+
+/// Value of attribute `key` on the one span named `name` in `events`.
+std::string span_attr(const std::vector<obs::TraceEvent>& events,
+                      const std::string& name, const std::string& key) {
+  std::string value;
+  int count = 0;
+  for (const auto& e : events) {
+    if (e.name != name) continue;
+    ++count;
+    for (const auto& [k, v] : e.attrs) {
+      if (k == key) value = v;
+    }
+  }
+  EXPECT_EQ(count, 1) << name;
+  return value;
+}
+
+TEST(ZslKgEngine, WarmCacheEngineBitwiseEqualsColdAndSkipsTraining) {
+  auto& world = taglets::testing::small_world();
+  const fs::path dir = fresh_dir("warm");
+  auto& registry = obs::MetricsRegistry::global();
+  const bool was_tracing = obs::trace_enabled();
+  obs::Tracer::global().clear();
+  obs::set_trace_enabled(true);
+
+  backbone::Zoo cold_zoo(&world, cache_pretrain_config(), dir.string());
+  ZslKgEngine cold(cold_zoo, cache_engine_config());
+  const auto cold_events = obs::Tracer::global().snapshot();
+  obs::Tracer::global().clear();
+  ASSERT_FALSE(engine_file(dir).empty());
+
+  const auto hits = registry.counter("zoo.cache_hits_total").value();
+  const auto pretrained = registry.counter("backbone.pretrained_total").value();
+  backbone::Zoo warm_zoo(&world, cache_pretrain_config(), dir.string());
+  ZslKgEngine warm(warm_zoo, cache_engine_config());
+  const auto warm_events = obs::Tracer::global().snapshot();
+  obs::set_trace_enabled(was_tracing);
+  obs::Tracer::global().clear();
+
+  expect_same_engine(cold, warm);
+  // The backbone and the engine both came from the cache, and nothing
+  // trained: no backbone pretraining, no reference head, no GNN.
+  EXPECT_EQ(registry.counter("zoo.cache_hits_total").value(), hits + 2);
+  EXPECT_EQ(registry.counter("backbone.pretrained_total").value(), pretrained);
+  EXPECT_EQ(span_attr(cold_events, "zsl.engine", "cache"), "miss");
+  EXPECT_EQ(span_attr(cold_events, "backbone.get", "cache"), "miss");
+  EXPECT_EQ(span_attr(warm_events, "zsl.engine", "cache"), "hit");
+  EXPECT_EQ(span_attr(warm_events, "backbone.get", "cache"), "hit");
+  for (const auto& e : warm_events) EXPECT_NE(e.name, "nn.fit");
+  fs::remove_all(dir);
+}
+
+TEST(ZslKgEngine, TruncatedOrCorruptCacheFileRetrains) {
+  auto& world = taglets::testing::small_world();
+  const fs::path dir = fresh_dir("damaged");
+  backbone::Zoo zoo(&world, cache_pretrain_config(), dir.string());
+  ZslKgEngine reference(zoo, cache_engine_config());
+  const std::string path = engine_file(dir);
+  ASSERT_FALSE(path.empty());
+  const auto whole_size = fs::file_size(path);
+
+  auto& misses = obs::MetricsRegistry::global().counter("zoo.cache_misses_total");
+  const std::vector<std::pair<std::string, std::function<void(std::string&)>>>
+      damage = {
+          {"truncated", [](std::string& b) { b.resize(b.size() / 2); }},
+          {"corrupt", [](std::string& b) { b[b.size() / 2] ^= 0x40; }},
+      };
+  for (const auto& [what, edit] : damage) {
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    edit(bytes);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+    const auto misses_before = misses.value();
+    backbone::Zoo again(&world, cache_pretrain_config(), dir.string());
+    ZslKgEngine retrained(again, cache_engine_config());
+    EXPECT_EQ(misses.value(), misses_before + 1) << what;
+    expect_same_engine(reference, retrained);
+    EXPECT_EQ(fs::file_size(path), whole_size) << what << " file not rewritten";
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ZslKgEngine, EmptyCacheDirWritesNothing) {
+  // Run in a fresh working directory so a write to the default relative
+  // cache path would be seen too.
+  const fs::path cwd = fresh_dir("no_cache");
+  fs::create_directories(cwd);
+  const fs::path previous_cwd = fs::current_path();
+  fs::current_path(cwd);
+  {
+    backbone::Zoo zoo(&taglets::testing::small_world(), cache_pretrain_config(),
+                      std::string{});
+    ZslKgEngine engine(zoo, cache_engine_config());
+    EXPECT_TRUE(std::isfinite(engine.best_validation_loss()));
+  }
+  fs::current_path(previous_cwd);
+  EXPECT_TRUE(fs::is_empty(cwd));
+  fs::remove_all(cwd);
 }
 
 TEST(ZslKgModule, ZeroShotBeatsChance) {

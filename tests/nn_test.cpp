@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "nn/classifier.hpp"
@@ -165,6 +166,65 @@ TEST(Sequential, InputGradCheck) {
     return cross_entropy(l, labels).loss;
   };
   EXPECT_LT(max_input_grad_error(x, dx, loss_fn), 5e-2);
+}
+
+/// True when every parameter of `a` has a bitwise-equal gradient (or,
+/// with `values`, value) in `b`.
+bool params_bitwise_equal(std::vector<Parameter*> a, std::vector<Parameter*> b,
+                          bool values = false) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Tensor& ta = values ? a[i]->value : a[i]->grad;
+    const Tensor& tb = values ? b[i]->value : b[i]->grad;
+    if (!tensor::same_shape(ta, tb) ||
+        std::memcmp(ta.data().data(), tb.data().data(),
+                    ta.size() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Sequential, AccumulateGradsLeavesSameParameterGradsAsBackward) {
+  // Dropout below the first Linear (never backpropagated by
+  // accumulate_grads), Dropout between Linears and a Tanh output. The
+  // copy clones each Dropout's RNG, so both forwards draw the same masks.
+  util::Rng rng(23);
+  Sequential a;
+  a.add(std::make_unique<Dropout>(0.25f, rng.fork()));
+  a.add(std::make_unique<Linear>(6, 9, rng));
+  a.add(std::make_unique<ReLU>());
+  a.add(std::make_unique<Dropout>(0.3f, rng.fork()));
+  a.add(std::make_unique<Linear>(9, 4, rng));
+  a.add(std::make_unique<Tanh>());
+  Sequential b = a;
+  Tensor x = random_batch(7, 6, rng);
+  Tensor g = random_batch(7, 4, rng);
+  a.zero_grad();
+  b.zero_grad();
+  a.forward(x, /*training=*/true);
+  b.forward(x, /*training=*/true);
+  a.backward(g);
+  b.accumulate_grads(g);
+  EXPECT_TRUE(params_bitwise_equal(a.parameters(), b.parameters()));
+  EXPECT_GT(b.parameters()[0]->grad.squared_norm(), 0.0f);
+}
+
+TEST(Classifier, BackwardAccumulatesSameGradsAsFullBackward) {
+  // Classifier::backward skips every input gradient; the parameter
+  // gradients must be those of a head-then-encoder full backward.
+  util::Rng rng(29);
+  Classifier a(make_mlp({5, 8, 6}, rng), 6, 3, rng);
+  Classifier b = a;
+  Tensor x = random_batch(4, 5, rng);
+  Tensor g = random_batch(4, 3, rng);
+  a.zero_grad();
+  b.zero_grad();
+  a.logits(x, true);
+  b.logits(x, true);
+  a.encoder().backward(a.head().backward(g));
+  b.backward(g);
+  EXPECT_TRUE(params_bitwise_equal(a.parameters(), b.parameters()));
 }
 
 TEST(Sequential, CopyIsDeep) {
@@ -477,6 +537,86 @@ TEST(Trainer, FitSoftLearnsOneHotTargets) {
   config.sgd.lr = 0.05;
   fit_soft(model, x, targets, config, rng);
   EXPECT_GT(evaluate_accuracy(model, x, y), 0.9);
+}
+
+TEST(Trainer, FrozenFitBitwiseEqualsPerStepEncoderLoop) {
+  // A frozen fit computes the encoder's features once and runs only the
+  // head per step. It must match, bit for bit, the loop that ran the
+  // encoder on every batch and the head's full backward. 300 rows of
+  // 64 -> 160 make the one-off feature GEMM fan out over the pool, while
+  // each 16-row batch GEMM runs inline.
+  util::Rng init(71);
+  Sequential encoder = make_mlp({64, 160, 32}, init);
+  encoder.add(std::make_unique<ReLU>());
+  Classifier fast(encoder, 32, 5, init);
+  Classifier slow = fast;
+  util::Rng data_rng(72);
+  const std::size_t n = 300;
+  Tensor x = random_batch(n, 64, data_rng);
+  std::vector<std::size_t> y(n);
+  for (std::size_t i = 0; i < n; ++i) y[i] = (i * 7) % 5;
+
+  FitConfig config;
+  config.epochs = 3;
+  config.batch_size = 16;
+  config.freeze_encoder = true;
+  config.sgd.lr = 0.05;
+  config.sgd.momentum = 0.9;
+  config.schedule =
+      std::make_shared<StepDecayLr>(0.05, std::vector<double>{0.5});
+  util::Rng fast_rng(5);
+  const FitReport report = fit_hard(fast, x, y, config, fast_rng);
+
+  util::Rng slow_rng(5);
+  slow.set_encoder_frozen(true);
+  auto params = slow.parameters();
+  auto optimizer = make_optimizer(config, params);
+  const std::size_t total_steps = 3 * ((n + 15) / 16);
+  std::size_t step = 0;
+  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    for (const auto& batch : make_batches(n, config.batch_size, slow_rng)) {
+      Tensor logits = slow.logits(x.gather_rows(batch), /*training=*/true);
+      std::vector<std::size_t> yb(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) yb[i] = y[batch[i]];
+      LossResult loss = cross_entropy(logits, yb);
+      slow.zero_grad();
+      slow.head().backward(loss.grad_logits);
+      optimizer->set_learning_rate(config.schedule->rate(step, total_steps));
+      optimizer->step();
+      ++step;
+    }
+  }
+  slow.set_encoder_frozen(false);
+
+  EXPECT_EQ(report.steps, total_steps);
+  EXPECT_TRUE(params_bitwise_equal(fast.parameters(), slow.parameters(),
+                                   /*values=*/true));
+  EXPECT_TRUE(params_bitwise_equal(fast.encoder().parameters(),
+                                   encoder.parameters(), /*values=*/true))
+      << "a frozen fit changed the encoder";
+}
+
+TEST(Trainer, FrozenEncoderWithDropoutThrowsNamingLayer) {
+  // Dropout draws a new mask on every training forward, so its features
+  // cannot be computed once; the fit refuses instead of changing them.
+  util::Rng rng(73);
+  Classifier model(make_mlp({4, 6, 5}, rng, /*dropout=*/0.2f), 5, 2, rng);
+  Tensor x = random_batch(8, 4, rng);
+  std::vector<std::size_t> y{0, 1, 0, 1, 0, 1, 0, 1};
+  FitConfig config;
+  config.epochs = 1;
+  config.freeze_encoder = true;
+  try {
+    fit_hard(model, x, y, config, rng);
+    FAIL() << "a frozen encoder with Dropout trained";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("layer 2 (Dropout)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(model.encoder_frozen());
+  config.freeze_encoder = false;  // an unfrozen fit may use Dropout
+  EXPECT_NO_THROW(fit_hard(model, x, y, config, rng));
 }
 
 TEST(Trainer, ClipGradNormBoundsGlobalNorm) {

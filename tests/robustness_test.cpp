@@ -10,8 +10,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 
+#include "modules/zsl_kg.hpp"
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "scads/selection.hpp"
@@ -460,6 +463,45 @@ TEST(ZooCache, InjectedCacheWriteFailureLeavesOldFileOrNone) {
                 .counter("backbone.pretrained_total")
                 .value(),
             pretrained_before);
+}
+
+TEST(ZooCache, InjectedEngineCacheWriteFailureStillBuildsEngine) {
+  // The ZSL-KG engine is cached through the same "zoo.cache" site. With
+  // the backbone already cached, the engine's write is the site's first
+  // call: failing either half of it must still build the engine, leave
+  // no engine file and no temp file, and the next run trains and stores
+  // the same engine.
+  const fs::path dir = scratch_dir("zoo_engine_cache");
+  auto& world = taglets::testing::small_world();
+  backbone::PretrainConfig pretrain = taglets::testing::small_pretrain_config();
+  pretrain.epochs = 2;  // keep this test fast
+  modules::ZslKgEngine::Config engine;
+  engine.epochs = 4;
+  engine.val_classes = 10;
+  backbone::Zoo(&world, pretrain, dir.string()).get(backbone::Kind::kRn50S);
+  const auto backbone_files = std::distance(fs::directory_iterator(dir), {});
+  ASSERT_EQ(backbone_files, 1);
+
+  std::optional<double> loss;
+  for (const char* site : {"zoo.cache:1", "zoo.cache:2"}) {
+    FaultSpec spec(site);
+    backbone::Zoo zoo(&world, pretrain, dir.string());
+    std::optional<modules::ZslKgEngine> built;
+    EXPECT_NO_THROW(built.emplace(zoo, engine)) << site;
+    ASSERT_TRUE(built.has_value()) << site;
+    if (loss) {
+      EXPECT_EQ(built->best_validation_loss(), *loss) << site;
+    }
+    loss = built->best_validation_loss();
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir), {}), backbone_files)
+        << site << " left an engine or temp file";
+  }
+  backbone::Zoo zoo(&world, pretrain, dir.string());
+  EXPECT_EQ(modules::ZslKgEngine(zoo, engine).best_validation_loss(), *loss);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_FALSE(entry.path().string().ends_with(".tmp")) << entry.path();
+  }
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir), {}), backbone_files + 1);
 }
 
 TEST(Resume, CheckpointSaveRetriesAbsorbTransientFaults) {
