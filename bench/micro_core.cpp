@@ -15,6 +15,7 @@
 #include "graph/retrofit.hpp"
 #include "modules/module.hpp"
 #include "nn/classifier.hpp"
+#include "nn/loss.hpp"
 #include "nn/sequential.hpp"
 #include "scads/scads.hpp"
 #include "scads/selection.hpp"
@@ -226,6 +227,74 @@ void BM_SoftmaxBackendNative(benchmark::State& state) {
   run_softmax_backend(state, nullptr);
 }
 BENCHMARK(BM_SoftmaxBackendNative);
+
+// The training step's GEMMs and loss at a 300 -> 32 layer on a batch of
+// 128: dx = g W^T (matmul_nt), dW = x^T g (matmul_tn), the forward
+// x W on ReLU activations and the cross entropy over 32 classes.
+// Arg 0 = scalar backend, 1 = native.
+const tensor::backend::Kernels* backend_arg(const benchmark::State& state) {
+  return state.range(0) == 0 ? tensor::backend::lookup("scalar") : nullptr;
+}
+
+void BM_MatmulNtTrain(benchmark::State& state) {
+  util::Parallel pool(1);
+  BenchParallelOverride pool_guard(&pool);
+  BenchBackendOverride backend_guard(backend_arg(state));
+  tensor::Tensor g = bench_random_matrix(128, 32, 7);
+  tensor::Tensor w = bench_random_matrix(300, 32, 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::matmul_nt(g, w));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          2 * 128 * 32 * 300);
+}
+BENCHMARK(BM_MatmulNtTrain)->ArgName("native")->Arg(0)->Arg(1);
+
+void BM_MatmulTnTrain(benchmark::State& state) {
+  util::Parallel pool(1);
+  BenchParallelOverride pool_guard(&pool);
+  BenchBackendOverride backend_guard(backend_arg(state));
+  tensor::Tensor x = bench_random_matrix(128, 300, 9);
+  tensor::Tensor g = bench_random_matrix(128, 32, 10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::matmul_tn(x, g));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          2 * 128 * 32 * 300);
+}
+BENCHMARK(BM_MatmulTnTrain)->ArgName("native")->Arg(0)->Arg(1);
+
+// The forward GEMM of a layer fed by a ReLU: about half of A is zero,
+// at random positions, which is where the zero-skip rule works hardest.
+void BM_MatmulReluTrain(benchmark::State& state) {
+  util::Parallel pool(1);
+  BenchParallelOverride pool_guard(&pool);
+  BenchBackendOverride backend_guard(backend_arg(state));
+  tensor::Tensor x = bench_random_matrix(128, 300, 12);
+  for (float& v : x.data()) v = v > 0.0f ? v : 0.0f;
+  tensor::Tensor w = bench_random_matrix(300, 32, 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::matmul(x, w));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          2 * 128 * 32 * 300);
+}
+BENCHMARK(BM_MatmulReluTrain)->ArgName("native")->Arg(0)->Arg(1);
+
+void BM_CrossEntropy(benchmark::State& state) {
+  util::Parallel pool(1);
+  BenchParallelOverride pool_guard(&pool);
+  BenchBackendOverride backend_guard(backend_arg(state));
+  tensor::Tensor logits = bench_random_matrix(128, 32, 11);
+  std::vector<std::size_t> labels(128);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i % 32;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::cross_entropy(logits, labels));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(logits.size()));
+}
+BENCHMARK(BM_CrossEntropy)->ArgName("native")->Arg(0)->Arg(1);
 
 // Weight-only int8 GEMM (the serving path) vs the float GEMM it
 // replaces, at a serving-sized batch of 16 rows.

@@ -24,16 +24,19 @@ void accumulate_affine(const Tensor& x, const Tensor& w, Tensor& y) {
   }
 }
 
-/// dW += x (outer) g ; returns nothing. Also accumulates db += g.
-void accumulate_grads(const Tensor& x, const Tensor& g, nn::Parameter& w,
-                      nn::Parameter& b) {
+/// dW += x (outer) g, skipping the rows where x is zero.
+void accumulate_outer(const Tensor& x, const Tensor& g, Tensor& dw) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float xv = x[i];
     if (xv == 0.0f) continue;
-    auto wrow = w.grad.row(i);
+    auto wrow = dw.row(i);
     for (std::size_t j = 0; j < g.size(); ++j) wrow[j] += xv * g[j];
   }
-  for (std::size_t j = 0; j < g.size(); ++j) b.grad[j] += g[j];
+}
+
+/// y += x elementwise.
+void accumulate(const Tensor& x, Tensor& y) {
+  for (std::size_t j = 0; j < x.size(); ++j) y[j] += x[j];
 }
 
 }  // namespace
@@ -72,35 +75,39 @@ Tensor TrGcn::neighbor_mean(const graph::KnowledgeGraph& graph,
   return mean;
 }
 
-TrGcn::ForwardCache TrGcn::forward(const graph::KnowledgeGraph& graph,
-                                   const Tensor& features,
-                                   NodeId center) const {
+TrGcn::Inputs TrGcn::inputs(const graph::KnowledgeGraph& graph,
+                            const Tensor& features, NodeId center) const {
   TAGLETS_CHECK(!(!features.is_matrix() ||
                 features.cols() != config_.input_dim),
-                "TrGcn::forward: feature width mismatch");
+                "TrGcn::inputs: feature width mismatch");
   TAGLETS_CHECK_LT(center, features.rows(),
-                   "TrGcn::forward: center has no features");
-  ForwardCache cache;
-  cache.center = center;
-  cache.hop1 = neighbors_of(graph, center);
-
-  // Layer 1 on center + its hop-1 neighbours (index 0 = center).
+                   "TrGcn::inputs: center has no features");
+  // Index 0 = center, then its hop-1 neighbours.
   std::vector<NodeId> layer1_nodes{center};
-  layer1_nodes.insert(layer1_nodes.end(), cache.hop1.begin(), cache.hop1.end());
+  const std::vector<NodeId> hop1 = neighbors_of(graph, center);
+  layer1_nodes.insert(layer1_nodes.end(), hop1.begin(), hop1.end());
+  Inputs in;
   for (NodeId v : layer1_nodes) {
     Tensor self_feat = Tensor::zeros(config_.input_dim);
-    {
-      auto row = features.row(v);
-      std::copy(row.begin(), row.end(), self_feat.data().begin());
-    }
-    Tensor nbr_feat = neighbor_mean(graph, features, v);
+    auto row = features.row(v);
+    std::copy(row.begin(), row.end(), self_feat.data().begin());
+    in.self_feats.push_back(std::move(self_feat));
+    in.nbr_means.push_back(neighbor_mean(graph, features, v));
+  }
+  return in;
+}
+
+TrGcn::ForwardCache TrGcn::forward(const Inputs& inputs) const {
+  ForwardCache cache;
+  cache.inputs = &inputs;
+
+  // Layer 1 on center + its hop-1 neighbours (index 0 = center).
+  for (std::size_t i = 0; i < inputs.self_feats.size(); ++i) {
     Tensor pre = b1_.value;
-    accumulate_affine(self_feat, w_self1_.value, pre);
-    accumulate_affine(nbr_feat, w_nbr1_.value, pre);
+    accumulate_affine(inputs.self_feats[i], w_self1_.value, pre);
+    accumulate_affine(inputs.nbr_means[i], w_nbr1_.value, pre);
     Tensor post = pre;
     for (float& x : post.data()) x = x > 0.0f ? x : 0.0f;
-    cache.self_feats.push_back(std::move(self_feat));
-    cache.nbr_means.push_back(std::move(nbr_feat));
     cache.pre1.push_back(std::move(pre));
     cache.h1.push_back(std::move(post));
   }
@@ -125,57 +132,52 @@ TrGcn::ForwardCache TrGcn::forward(const graph::KnowledgeGraph& graph,
 
 Tensor TrGcn::predict(const graph::KnowledgeGraph& graph,
                       const Tensor& features, NodeId center) const {
-  return forward(graph, features, center).output;
+  const Inputs in = inputs(graph, features, center);
+  return forward(in).output;
 }
 
 void TrGcn::backward(const ForwardCache& cache, const Tensor& grad_output) {
   TAGLETS_CHECK_EQ(grad_output.size(), config_.output_dim,
                    "TrGcn::backward: grad dim mismatch");
   // Layer 2 parameter grads.
-  accumulate_grads(cache.h1[0], grad_output, w_self2_, b2_);
-  {
-    // b2 was already incremented by accumulate_grads above; remove the
-    // duplicate that the next call would add by passing a scratch bias.
-    nn::Parameter scratch(Tensor::zeros(config_.output_dim));
-    accumulate_grads(cache.h1_mean, grad_output, w_nbr2_, scratch);
-  }
+  accumulate_outer(cache.h1[0], grad_output, w_self2_.grad);
+  accumulate(grad_output, b2_.grad);
+  accumulate_outer(cache.h1_mean, grad_output, w_nbr2_.grad);
 
-  // Gradients into layer-1 activations.
+  // Gradients into layer-1 activations: W_self2 g for the center, and
+  // the same share W_nbr2 g / |hop1| for every hop-1 neighbour.
   const std::size_t n_nbrs = cache.h1.size() - 1;
-  std::vector<Tensor> dh1(cache.h1.size(),
-                          Tensor::zeros(config_.hidden_dim));
-  // center: W_self2 g
+  Tensor dh1_center = Tensor::zeros(config_.hidden_dim);
   for (std::size_t d = 0; d < config_.hidden_dim; ++d) {
     auto wrow = w_self2_.value.row(d);
     float acc = 0.0f;
     for (std::size_t j = 0; j < config_.output_dim; ++j) {
       acc += wrow[j] * grad_output[j];
     }
-    dh1[0][d] = acc;
+    dh1_center[d] = acc;
   }
+  Tensor dh1_nbr = Tensor::zeros(config_.hidden_dim);
   if (n_nbrs > 0) {
     const float inv = 1.0f / static_cast<float>(n_nbrs);
-    for (std::size_t i = 1; i < cache.h1.size(); ++i) {
-      for (std::size_t d = 0; d < config_.hidden_dim; ++d) {
-        auto wrow = w_nbr2_.value.row(d);
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < config_.output_dim; ++j) {
-          acc += wrow[j] * grad_output[j];
-        }
-        dh1[i][d] = acc * inv;
+    for (std::size_t d = 0; d < config_.hidden_dim; ++d) {
+      auto wrow = w_nbr2_.value.row(d);
+      float acc = 0.0f;
+      for (std::size_t j = 0; j < config_.output_dim; ++j) {
+        acc += wrow[j] * grad_output[j];
       }
+      dh1_nbr[d] = acc * inv;
     }
   }
 
   // Layer 1 parameter grads through the ReLU.
   for (std::size_t i = 0; i < cache.h1.size(); ++i) {
-    Tensor da = dh1[i];
+    Tensor da = i == 0 ? dh1_center : dh1_nbr;
     for (std::size_t d = 0; d < config_.hidden_dim; ++d) {
       if (cache.pre1[i][d] <= 0.0f) da[d] = 0.0f;
     }
-    accumulate_grads(cache.self_feats[i], da, w_self1_, b1_);
-    nn::Parameter scratch(Tensor::zeros(config_.hidden_dim));
-    accumulate_grads(cache.nbr_means[i], da, w_nbr1_, scratch);
+    accumulate_outer(cache.inputs->self_feats[i], da, w_self1_.grad);
+    accumulate(da, b1_.grad);
+    accumulate_outer(cache.inputs->nbr_means[i], da, w_nbr1_.grad);
   }
 }
 

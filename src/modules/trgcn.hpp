@@ -35,20 +35,27 @@ class TrGcn {
                          const tensor::Tensor& features,
                          graph::NodeId center) const;
 
+  /// What a forward pass reads of the graph and the feature table for
+  /// one center. None of it depends on the parameters, so training
+  /// builds it once per center, not once per epoch.
+  struct Inputs {
+    // One entry per layer-1 node: the center, then its truncated hop-1
+    // neighbour list.
+    std::vector<tensor::Tensor> self_feats;    // e_v
+    std::vector<tensor::Tensor> nbr_means;     // mean e of N(v)
+  };
+  Inputs inputs(const graph::KnowledgeGraph& graph,
+                const tensor::Tensor& features, graph::NodeId center) const;
+
   /// One training forward that caches intermediates for backward().
   struct ForwardCache {
-    graph::NodeId center;
-    std::vector<graph::NodeId> hop1;          // truncated neighbour list
+    const Inputs* inputs;                      // must outlive the cache
     std::vector<tensor::Tensor> pre1;          // pre-ReLU layer-1 activations
     std::vector<tensor::Tensor> h1;            // post-ReLU (center first)
-    std::vector<tensor::Tensor> self_feats;    // e_v for center + hop1
-    std::vector<tensor::Tensor> nbr_means;     // mean e of N(v)
     tensor::Tensor h1_mean;                    // mean over hop1 h1
     tensor::Tensor output;
   };
-  ForwardCache forward(const graph::KnowledgeGraph& graph,
-                       const tensor::Tensor& features,
-                       graph::NodeId center) const;
+  ForwardCache forward(const Inputs& inputs) const;
 
   /// Accumulate parameter gradients for dL/d(output).
   void backward(const ForwardCache& cache, const tensor::Tensor& grad_output);

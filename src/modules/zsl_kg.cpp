@@ -81,17 +81,21 @@ void ZslKgEngine::pretrain(backbone::Zoo& zoo, const Config& config) {
   const Tensor& features = world.scads_embeddings();
   const graph::KnowledgeGraph& graph = world.graph();
 
-  // Targets: concatenated [head weight row ; bias] per reference concept.
+  // Targets: concatenated [head weight row ; bias] per reference concept,
+  // and the GNN's graph inputs per concept, which no epoch changes.
   const std::size_t n = reference.concepts.size();
   const std::size_t out_dim = feature_dim_ + 1;
   std::vector<Tensor> targets;
+  std::vector<TrGcn::Inputs> inputs;
   targets.reserve(n);
+  inputs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     Tensor t = Tensor::zeros(out_dim);
     auto wrow = reference.weights.row(i);
     for (std::size_t d = 0; d < feature_dim_; ++d) t[d] = wrow[d];
     t[feature_dim_] = reference.biases[i];
     targets.push_back(std::move(t));
+    inputs.push_back(gnn_.inputs(graph, features, reference.concepts[i]));
   }
 
   // Train / validation class split (paper: 950/50).
@@ -113,8 +117,7 @@ void ZslKgEngine::pretrain(backbone::Zoo& zoo, const Config& config) {
   auto evaluate = [&](const std::vector<std::size_t>& subset) {
     double total = 0.0;
     for (std::size_t i : subset) {
-      Tensor pred = gnn_.predict(graph, features, reference.concepts[i]);
-      auto loss = nn::mse(pred, targets[i]);
+      auto loss = nn::mse(gnn_.forward(inputs[i]).output, targets[i]);
       total += loss.loss;
     }
     return subset.empty() ? 0.0 : total / static_cast<double>(subset.size());
@@ -129,7 +132,7 @@ void ZslKgEngine::pretrain(backbone::Zoo& zoo, const Config& config) {
       const std::size_t end = std::min(train.size(), start + config.batch_size);
       for (std::size_t k = start; k < end; ++k) {
         const std::size_t i = train[k];
-        auto cache = gnn_.forward(graph, features, reference.concepts[i]);
+        auto cache = gnn_.forward(inputs[i]);
         auto loss = nn::mse(cache.output, targets[i]);
         // Average over the batch.
         Tensor grad = loss.grad_logits;

@@ -15,13 +15,15 @@ LossResult cross_entropy(const Tensor& logits,
   TAGLETS_CHECK(!(!logits.is_matrix() || logits.rows() != labels.size()),
                 "cross_entropy: shape mismatch");
   const std::size_t n = logits.rows(), c = logits.cols();
-  Tensor log_probs = tensor::log_softmax(logits);
-  Tensor grad = tensor::softmax(logits);
+  // One exp pass: the softmax is the gradient, and its per-row
+  // log-sum-exp gives log p = logit - lse, bit for bit log_softmax.
+  std::vector<float> lse;
+  Tensor grad = tensor::softmax(logits, lse);
   double loss = 0.0;
   const float inv_n = 1.0f / static_cast<float>(n);
   for (std::size_t i = 0; i < n; ++i) {
     TAGLETS_CHECK_LT(labels[i], c, "cross_entropy: label");
-    loss -= log_probs.at(i, labels[i]);
+    loss -= logits.at(i, labels[i]) - lse[i];
     auto g = grad.row(i);
     g[labels[i]] -= 1.0f;
     for (float& x : g) x *= inv_n;
@@ -33,16 +35,17 @@ LossResult soft_cross_entropy(const Tensor& logits, const Tensor& targets) {
   TAGLETS_CHECK(!(!tensor::same_shape(logits, targets) || !logits.is_matrix()),
                 "soft_cross_entropy: shape mismatch");
   const std::size_t n = logits.rows(), c = logits.cols();
-  Tensor log_probs = tensor::log_softmax(logits);
-  Tensor grad = tensor::softmax(logits);
+  std::vector<float> lse;  // one exp pass, as in cross_entropy
+  Tensor grad = tensor::softmax(logits, lse);
   double loss = 0.0;
   const float inv_n = 1.0f / static_cast<float>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto lp = log_probs.row(i);
+    auto x = logits.row(i);
     auto t = targets.row(i);
     auto g = grad.row(i);
     for (std::size_t j = 0; j < c; ++j) {
-      loss -= static_cast<double>(t[j]) * lp[j];
+      const float log_p = x[j] - lse[i];
+      loss -= static_cast<double>(t[j]) * log_p;
       g[j] = (g[j] - t[j]) * inv_n;
     }
   }

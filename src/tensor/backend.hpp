@@ -31,12 +31,15 @@
 //     the skip test), so even NaN/Inf columns in B are dropped or
 //     propagated identically (see the TAGLETS_CHECK_FINITE guard in
 //     ops.cpp for why skipping can drop 0*NaN at all);
-//   * gemm_nt_row accumulates each output element in double in
-//     ascending-p order; SIMD lanes are distinct output columns and use
-//     double FMA, which is bitwise-equal to the scalar mul-then-add
-//     because the product of two floats is exact in double;
+//   * gemm_nt_row reads B^T (the caller transposes B once per matmul_nt)
+//     and accumulates each output element in double in ascending-p
+//     order, with no zero-skip; SIMD lanes are distinct output columns
+//     and use double FMA, which is bitwise-equal to the scalar
+//     mul-then-add because the product of two floats is exact in double;
 //   * softmax_row keeps std::exp and the double sum scalar (vectorizing
-//     only the max reduction and the final scale, both lane-exact).
+//     only the max reduction and the final scale, both lane-exact), and
+//     returns that max and sum so a caller can form the row's
+//     log-sum-exp without a second exp pass.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +48,15 @@
 #include <vector>
 
 namespace taglets::tensor::backend {
+
+/// What softmax_row computed on the way to its output: the row max and
+/// sum over j of exp(in[j] - max), the float exps added in ascending j.
+/// max + (float)log(sum) is the row's log-sum-exp, bit for bit the value
+/// log_softmax subtracts.
+struct SoftmaxRowStats {
+  float max;
+  double sum;
+};
 
 /// Table of row-level microkernels. All pointers are non-null in every
 /// registered backend; kernels are pure functions and thread-safe.
@@ -70,10 +82,11 @@ struct Kernels {
                          float* crow1);
 
   /// crow[j] = (float)(sum over p in [0, k) of
-  /// (double)arow[p] * (double)b[j*ldb + p]) for j in [0, n_rows_b) —
-  /// one output row of C = A * B^T.
-  void (*gemm_nt_row)(const float* arow, const float* b, std::size_t ldb,
-                      std::size_t n_rows_b, std::size_t k, float* crow);
+  /// (double)arow[p] * (double)bt[p*ldbt + j]) for j in [0, n), summed
+  /// in ascending p with no zero-skip — one output row of C = A * B^T,
+  /// read from B^T (k x n) so both operands stream contiguously.
+  void (*gemm_nt_row)(const float* arow, const float* bt, std::size_t ldbt,
+                      std::size_t n, std::size_t k, float* crow);
 
   /// y[i] += a * x[i]. No zero-skip: callers that want the matmul
   /// skip rule apply it before calling (identically for all backends).
@@ -92,7 +105,9 @@ struct Kernels {
 
   /// out = softmax(in) over one row of n elements (in != out). Max
   /// subtraction for stability; the exp/sum stage is scalar by contract.
-  void (*softmax_row)(const float* in, std::size_t n, float* out);
+  /// Returns the max it subtracted and the double sum of the float exps
+  /// it divided by ({0, 0} when n == 0).
+  SoftmaxRowStats (*softmax_row)(const float* in, std::size_t n, float* out);
 };
 
 /// The active backend, resolved once per process from

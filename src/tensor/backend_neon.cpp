@@ -2,9 +2,11 @@
 // NEON, so there is no runtime probe). Float kernels use explicit
 // vmulq + vaddq, never vmlaq/vfmaq (which fuse on AArch64 and would
 // round differently than the scalar backend). Kernels that would not
-// gain from 128-bit lanes here (gemm_nt_row's double accumulation,
-// softmax_row's scalar exp/sum) reuse the scalar backend's entries, so
-// the determinism contract holds trivially for them.
+// gain from hand-written 128-bit lanes here reuse the scalar backend's
+// entries, so the determinism contract holds trivially for them:
+// gemm_nt_row (its contiguous B^T rows and double accumulators already
+// auto-vectorize to two-lane float64 mul + add) and softmax_row (scalar
+// exp/sum by contract).
 #include <cstddef>
 #include <cstdint>
 

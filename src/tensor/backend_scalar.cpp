@@ -1,7 +1,8 @@
-// Scalar reference backend: bit-for-bit the loops ops.cpp used before
-// backends existed. Every other backend is tested against this one for
-// bitwise equality (tests/backend_test.cpp), so these loops are the
-// semantics of record — do not "optimize" them. This TU is compiled
+// Scalar reference backend: per output element, the operations ops.cpp
+// performed before backends existed. Every other backend is tested
+// against this one for bitwise equality (tests/backend_test.cpp), so
+// these loops are the semantics of record — do not "optimize" them
+// into a different per-element order. This TU is compiled
 // with -ffp-contract=off so the mul-then-add accumulations can never be
 // fused into FMAs with different rounding than the SIMD backends.
 #include <algorithm>
@@ -33,15 +34,20 @@ void gemm_rowblock2(const float* arow0, const float* arow1, std::size_t k0,
   gemm_rowblock(arow1, k0, k1, b, ldb, n, crow1);
 }
 
-void gemm_nt_row(const float* arow, const float* b, std::size_t ldb,
-                 std::size_t n_rows_b, std::size_t k, float* crow) {
-  for (std::size_t j = 0; j < n_rows_b; ++j) {
-    const float* brow = b + j * ldb;
-    double s = 0.0;
+void gemm_nt_row(const float* arow, const float* bt, std::size_t ldbt,
+                 std::size_t n, std::size_t k, float* crow) {
+  // Column tiles of double accumulators, so each row of B^T is read
+  // contiguously; per element the sum still runs in ascending p.
+  constexpr std::size_t kTile = 64;
+  for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
+    const std::size_t w = std::min(kTile, n - j0);
+    double s[kTile] = {};
     for (std::size_t p = 0; p < k; ++p) {
-      s += static_cast<double>(arow[p]) * brow[p];
+      const double av = arow[p];
+      const float* brow = bt + p * ldbt + j0;
+      for (std::size_t j = 0; j < w; ++j) s[j] += av * brow[j];
     }
-    crow[j] = static_cast<float>(s);
+    for (std::size_t j = 0; j < w; ++j) crow[j0 + j] = static_cast<float>(s[j]);
   }
 }
 
@@ -73,8 +79,8 @@ void ew_scale(std::size_t n, float a, float* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] *= a;
 }
 
-void softmax_row(const float* in, std::size_t n, float* out) {
-  if (n == 0) return;  // *max_element on an empty range is UB
+SoftmaxRowStats softmax_row(const float* in, std::size_t n, float* out) {
+  if (n == 0) return {0.0f, 0.0};  // *max_element on an empty range is UB
   const float mx = *std::max_element(in, in + n);
   double sum = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
@@ -83,6 +89,7 @@ void softmax_row(const float* in, std::size_t n, float* out) {
   }
   const float inv = static_cast<float>(1.0 / sum);
   for (std::size_t j = 0; j < n; ++j) out[j] *= inv;
+  return {mx, sum};
 }
 
 }  // namespace

@@ -61,17 +61,15 @@ bool finite_checks_enabled() {
 // and, by the backend determinism contract, at every
 // TAGLETS_TENSOR_BACKEND setting.
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  TAGLETS_CHECK(a.is_matrix() && b.is_matrix(), "matmul: rank-2 required");
-  TAGLETS_CHECK(a.cols() == b.rows(), "matmul: inner dim mismatch");
-  debug_check_finite(a, "matmul");
-  debug_check_finite(b, "matmul");
+namespace {
+
+/// C = A * B for checked shapes: i-k-j loop order with blocking on k,
+/// so the innermost (backend) loop walks both B and C rows contiguously.
+Tensor gemm(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   Tensor c = Tensor::zeros(m, n);
   const backend::Kernels& kern = backend::active();
   const float* bp = b.data().data();
-  // i-k-j loop order with blocking on k: the innermost (backend) loop
-  // walks both B and C rows contiguously.
   auto row_block = [&](std::size_t r0, std::size_t r1) {
     for (std::size_t kk = 0; kk < k; kk += kBlock) {
       const std::size_t kend = std::min(k, kk + kBlock);
@@ -92,29 +90,28 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+}  // namespace
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  TAGLETS_CHECK(a.is_matrix() && b.is_matrix(), "matmul: rank-2 required");
+  TAGLETS_CHECK(a.cols() == b.rows(), "matmul: inner dim mismatch");
+  debug_check_finite(a, "matmul");
+  debug_check_finite(b, "matmul");
+  return gemm(a, b);
+}
+
+// matmul_tn and matmul_nt transpose one operand once per call (an m*k
+// or k*n copy, small next to the m*n*k product) so their inner loops
+// read contiguous rows instead of striding or gathering.
+
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   TAGLETS_CHECK(a.is_matrix() && b.is_matrix(), "matmul_tn: rank-2 required");
   TAGLETS_CHECK(a.rows() == b.rows(), "matmul_tn: inner dim mismatch");
   debug_check_finite(a, "matmul_tn");
   debug_check_finite(b, "matmul_tn");
-  const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
-  Tensor c = Tensor::zeros(m, n);
-  const backend::Kernels& kern = backend::active();
-  auto row_block = [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float* arow = a.row(p).data();
-      const float* brow = b.row(p).data();
-      for (std::size_t i = r0; i < r1; ++i) {
-        const float av = arow[i];
-        // The zero-skip decision lives here, in backend-independent
-        // caller code, so every backend sees the identical policy.
-        if (av == 0.0f) continue;
-        kern.axpy(n, av, brow, c.row(i).data());
-      }
-    }
-  };
-  util::parallel_for_ranges(m, row_block, k * n);
-  return c;
+  // C[i][j] sums a[p][i] * b[p][j] in ascending p, skipping p where
+  // a[p][i] == 0: exactly what gemm does with A^T's row i.
+  return gemm(transpose(a), b);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
@@ -122,11 +119,12 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   TAGLETS_CHECK(a.cols() == b.cols(), "matmul_nt: inner dim mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   Tensor c = Tensor::zeros(m, n);
+  const Tensor bt = transpose(b);
   const backend::Kernels& kern = backend::active();
-  const float* bp = b.data().data();
+  const float* btp = bt.data().data();
   auto row_block = [&](std::size_t r0, std::size_t r1) {
     for (std::size_t i = r0; i < r1; ++i) {
-      kern.gemm_nt_row(a.row(i).data(), bp, k, n, k, c.row(i).data());
+      kern.gemm_nt_row(a.row(i).data(), btp, n, n, k, c.row(i).data());
     }
   };
   util::parallel_for_ranges(m, row_block, k * n);
@@ -135,9 +133,22 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 
 Tensor transpose(const Tensor& a) {
   TAGLETS_CHECK(a.is_matrix(), "transpose: rank-2 required");
-  Tensor t = Tensor::zeros(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) t.at(j, i) = a.at(i, j);
+  const std::size_t rows = a.rows(), cols = a.cols();
+  Tensor t = Tensor::zeros(cols, rows);
+  const float* src = a.data().data();
+  float* dst = t.data().data();
+  // Square tiles keep the rows being read and written in L1.
+  constexpr std::size_t kTile = 32;
+  for (std::size_t i0 = 0; i0 < rows; i0 += kTile) {
+    const std::size_t i1 = std::min(rows, i0 + kTile);
+    for (std::size_t j0 = 0; j0 < cols; j0 += kTile) {
+      const std::size_t j1 = std::min(cols, j0 + kTile);
+      for (std::size_t i = i0; i < i1; ++i) {
+        for (std::size_t j = j0; j < j1; ++j) {
+          dst[j * rows + i] = src[i * cols + j];
+        }
+      }
+    }
   }
   return t;
 }
@@ -230,24 +241,44 @@ Tensor row_mean(const Tensor& a) {
   return out;
 }
 
-Tensor softmax(const Tensor& logits) {
+namespace {
+
+/// Row-wise softmax of a matrix; when `lse` is non-null it receives each
+/// row's max + (float)log(sum), the exact value log_softmax subtracts.
+Tensor softmax_rows(const Tensor& logits, float* lse) {
   const backend::Kernels& kern = backend::active();
-  if (logits.is_vector()) {
-    Tensor out = Tensor::zeros(logits.size());
-    kern.softmax_row(logits.data().data(), logits.size(), out.data().data());
-    return out;
-  }
   Tensor out = Tensor::zeros(logits.rows(), logits.cols());
   // Rows are independent, so either path produces identical bits per
   // row; a row costs about `cols` operations.
   auto run_rows = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      kern.softmax_row(logits.row(i).data(), logits.cols(),
-                       out.row(i).data());
+      const backend::SoftmaxRowStats st = kern.softmax_row(
+          logits.row(i).data(), logits.cols(), out.row(i).data());
+      if (lse != nullptr) {
+        lse[i] = st.max + static_cast<float>(std::log(st.sum));
+      }
     }
   };
   util::parallel_for_ranges(logits.rows(), run_rows, logits.cols());
   return out;
+}
+
+}  // namespace
+
+Tensor softmax(const Tensor& logits) {
+  if (logits.is_vector()) {
+    Tensor out = Tensor::zeros(logits.size());
+    backend::active().softmax_row(logits.data().data(), logits.size(),
+                                  out.data().data());
+    return out;
+  }
+  return softmax_rows(logits, nullptr);
+}
+
+Tensor softmax(const Tensor& logits, std::vector<float>& lse) {
+  TAGLETS_CHECK(logits.is_matrix(), "softmax: matrix required");
+  lse.resize(logits.rows());
+  return softmax_rows(logits, lse.data());
 }
 
 Tensor log_softmax(const Tensor& logits) {

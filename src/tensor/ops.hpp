@@ -65,6 +65,10 @@ Tensor row_mean(const Tensor& a);
 
 /// Numerically stable softmax of each row (matrix) or of the vector.
 Tensor softmax(const Tensor& logits);
+/// Softmax of each row of a matrix, plus each row's log-sum-exp from the
+/// same exp pass in `lse` (resized to rows()): logits[i][j] - lse[i] is
+/// bit for bit log_softmax(logits)[i][j].
+Tensor softmax(const Tensor& logits, std::vector<float>& lse);
 /// Stable log-softmax.
 Tensor log_softmax(const Tensor& logits);
 /// Index of the max element per row.

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ensemble/servable.hpp"
@@ -27,7 +28,9 @@
 #include "tensor/quant.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "test_support.hpp"
 
 namespace taglets::tensor {
 namespace {
@@ -145,6 +148,7 @@ TEST(BackendRegistry, EveryListedBackendHasCompleteKernelTable) {
     ASSERT_NE(k, nullptr);
     EXPECT_NE(k->name, nullptr);
     EXPECT_NE(k->gemm_rowblock, nullptr);
+    EXPECT_NE(k->gemm_rowblock2, nullptr);
     EXPECT_NE(k->gemm_nt_row, nullptr);
     EXPECT_NE(k->axpy, nullptr);
     EXPECT_NE(k->axpy_q8, nullptr);
@@ -153,6 +157,20 @@ TEST(BackendRegistry, EveryListedBackendHasCompleteKernelTable) {
     EXPECT_NE(k->ew_mul, nullptr);
     EXPECT_NE(k->ew_scale, nullptr);
     EXPECT_NE(k->softmax_row, nullptr);
+    // gemm_nt_row reads B^T: crow = arow * [[1, 2, 3], [4, 5, 6]].
+    const float arow[2] = {1.0f, -2.0f};
+    const float bt[6] = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
+    float crow[3] = {};
+    k->gemm_nt_row(arow, bt, 3, 3, 2, crow);
+    EXPECT_EQ(crow[0], -7.0f) << k->name;
+    EXPECT_EQ(crow[1], -8.0f) << k->name;
+    EXPECT_EQ(crow[2], -9.0f) << k->name;
+    // softmax_row reports the max it subtracted and the sum of exps.
+    const float in[3] = {0.0f, 1.0f, 1.0f};
+    float out[3] = {};
+    const backend::SoftmaxRowStats st = k->softmax_row(in, 3, out);
+    EXPECT_EQ(st.max, 1.0f) << k->name;
+    EXPECT_EQ(st.sum, 2.0 + static_cast<double>(std::exp(-1.0f))) << k->name;
   }
 }
 
@@ -230,6 +248,50 @@ TEST(BackendDeterminism, ElementwiseBitwiseIdenticalAcrossBackends) {
   }
 }
 
+// The row-block kernels called directly over a k range longer than one
+// k-block and not starting at zero, so kernels that walk the range in
+// chunks cross chunk boundaries. Paired rows with zeros at different
+// p, at the same p, and none; C starts nonzero, since the kernels
+// accumulate into it.
+TEST(BackendDeterminism, RowblockKernelsMatchScalarOverLongRanges) {
+  const backend::Kernels& scalar = *backend::lookup("scalar");
+  const std::size_t k0 = 3, k1 = 150;
+  for (const std::size_t n : {1u, 13u, 32u, 45u, 70u, 160u}) {
+    util::Rng rng(n);
+    const Tensor b = random_tensor(k1, n, rng);
+    const Tensor c = random_tensor(2, n, rng);
+    Tensor mixed = random_tensor(2, k1, rng);
+    poison(mixed, rng);
+    Tensor aligned = mixed;
+    for (std::size_t p = 0; p < k1; ++p) {
+      if (aligned.at(0, p) == 0.0f) {
+        aligned.at(1, p) = 0.0f;
+      } else if (aligned.at(1, p) == 0.0f) {
+        aligned.at(1, p) = 0.5f;
+      }
+    }
+    Tensor dense = random_tensor(2, k1, rng);
+    for (const Tensor* a : {&mixed, &aligned, &dense}) {
+      auto run = [&](const backend::Kernels& k) {
+        Tensor pair = c;
+        Tensor single = c;
+        k.gemm_rowblock2(a->row(0).data(), a->row(1).data(), k0, k1,
+                         b.data().data(), n, n, pair.row(0).data(),
+                         pair.row(1).data());
+        k.gemm_rowblock(a->row(1).data(), k0, k1, b.data().data(), n, n,
+                        single.row(1).data());
+        return std::make_pair(pair, single);
+      };
+      const auto ref = run(scalar);
+      for (const backend::Kernels* k : all_backends()) {
+        const auto got = run(*k);
+        expect_same_bits(got.first, ref.first, k->name);
+        expect_same_bits(got.second, ref.second, k->name);
+      }
+    }
+  }
+}
+
 // The zero-skip decision must be identical in every backend: with the
 // finiteness guard off, a zero in A must drop a NaN/Inf column of B
 // (or propagate it) the same way everywhere. Pinned so a future
@@ -302,6 +364,136 @@ TEST(BackendDeterminism, TrainingLoopBitwiseIdenticalAcrossBackends) {
       expect_same_bits(got[i], ref[i], k->name);
     }
   }
+}
+
+// --------------------------------- transposed backward GEMMs vs before
+
+// matmul_tn and matmul_nt as they were computed before each transposed
+// one operand once per call, kept as the reference the current versions
+// must match bit for bit. (This file builds with -ffp-contract=off, so
+// the float mul-then-add here is not fused.)
+Tensor reference_matmul_tn(const Tensor& a, const Tensor& b) {
+  Tensor c = Tensor::zeros(a.cols(), b.cols());
+  for (std::size_t p = 0; p < a.rows(); ++p) {
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      const float av = a.at(p, i);
+      if (av == 0.0f) continue;  // the zero-skip rule on a[p][i]
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+        c.at(i, j) += av * b.at(p, j);
+      }
+    }
+  }
+  return c;
+}
+
+Tensor reference_matmul_nt(const Tensor& a, const Tensor& b) {
+  Tensor c = Tensor::zeros(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      double s = 0.0;
+      for (std::size_t p = 0; p < a.cols(); ++p) {
+        s += static_cast<double>(a.at(i, p)) * b.at(j, p);
+      }
+      c.at(i, j) = static_cast<float>(s);
+    }
+  }
+  return c;
+}
+
+// {m, k, n}: matmul_nt(m x k, n x k) and matmul_tn(k x m, k x n). The
+// first two are the training step's backward shapes (dx = g W^T, dW =
+// x^T g); the rest cover n off the 4- and 16-column tiles, k = 1, k = 0
+// and single rows.
+const Shape kBackwardShapes[] = {
+    {128, 300, 32}, {128, 32, 160}, {7, 13, 17}, {5, 1, 21},  {3, 9, 18},
+    {2, 0, 19},     {1, 40, 35},    {9, 64, 3},  {4, 33, 16}, {6, 5, 1},
+};
+
+TEST(BackwardGemm, TransposedMatmulsMatchPreviousFormulationBitwise) {
+  for (const Shape& s : kBackwardShapes) {
+    util::Rng rng(s.m * 7 + s.k * 131 + s.n);
+    Tensor a = random_tensor(s.m, s.k, rng);   // matmul_nt's A
+    Tensor bn = random_tensor(s.n, s.k, rng);  // matmul_nt's B
+    Tensor at = random_tensor(s.k, s.m, rng);  // matmul_tn's A
+    Tensor bt = random_tensor(s.k, s.n, rng);  // matmul_tn's B
+    poison(a, rng);
+    poison(bn, rng);
+    poison(at, rng);
+    poison(bt, rng);
+    const Tensor ref_nt = reference_matmul_nt(a, bn);
+    const Tensor ref_tn = reference_matmul_tn(at, bt);
+    for (const backend::Kernels* k : all_backends()) {
+      BackendOverride ov(k);
+      for (std::size_t lanes : {1u, 4u}) {
+        util::Parallel pool(lanes);
+        taglets::testing::GlobalParallelOverride guard(&pool);
+        const std::string what = std::string(k->name) + ", " +
+                                 std::to_string(lanes) + " lanes, " +
+                                 std::to_string(s.m) + "x" +
+                                 std::to_string(s.k) + "x" +
+                                 std::to_string(s.n);
+        expect_same_bits(matmul_nt(a, bn), ref_nt, what.c_str());
+        expect_same_bits(matmul_tn(at, bt), ref_tn, what.c_str());
+      }
+    }
+  }
+}
+
+// NaN/Inf propagate as before: matmul_nt has no zero-skip, so a zero in
+// A still meets a NaN in B; matmul_tn skips every p where a[p][i] == 0,
+// dropping B's poisoned row for that output row only.
+TEST(BackwardGemm, NanAndInfPropagateAsBefore) {
+  const bool prev_checks = set_finite_checks(false);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  {
+    util::Rng rng(17);
+    Tensor a = random_tensor(3, 5, rng);
+    a.at(0, 2) = 0.0f;
+    a.at(1, 2) = -0.0f;
+    Tensor b = random_tensor(19, 5, rng);
+    for (std::size_t j = 0; j < 10; ++j) b.at(j, 2) = nan;
+    b.at(12, 3) = inf;
+    const Tensor ref = reference_matmul_nt(a, b);
+    for (std::size_t i = 0; i < ref.rows(); ++i) {
+      for (std::size_t j = 0; j < ref.cols(); ++j) {
+        if (j < 10) {
+          ASSERT_TRUE(std::isnan(ref.at(i, j)));  // 0 * NaN is not skipped
+        } else if (j == 12) {
+          ASSERT_TRUE(std::isinf(ref.at(i, j)));
+        } else {
+          ASSERT_TRUE(std::isfinite(ref.at(i, j)));
+        }
+      }
+    }
+    for (const backend::Kernels* k : all_backends()) {
+      BackendOverride ov(k);
+      expect_same_bits(matmul_nt(a, b), ref, k->name);
+    }
+  }
+  {
+    Tensor a = Tensor::full(3, 4, 1.5f);  // k x m
+    a.at(0, 0) = 0.0f;                    // skips B's NaN row for C row 0
+    a.at(0, 1) = -0.0f;                   // -0.0 skips like +0.0
+    a.at(2, 2) = 0.0f;                    // skips B's Inf row for C row 2
+    Tensor b = Tensor::full(3, 21, 0.25f);
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      b.at(0, j) = nan;
+      b.at(2, j) = inf;
+    }
+    const Tensor ref = reference_matmul_tn(a, b);
+    for (std::size_t j = 0; j < ref.cols(); ++j) {
+      ASSERT_TRUE(std::isinf(ref.at(0, j)));
+      ASSERT_TRUE(std::isinf(ref.at(1, j)));
+      ASSERT_TRUE(std::isnan(ref.at(2, j)));
+      ASSERT_TRUE(std::isnan(ref.at(3, j)));
+    }
+    for (const backend::Kernels* k : all_backends()) {
+      BackendOverride ov(k);
+      expect_same_bits(matmul_tn(a, b), ref, k->name);
+    }
+  }
+  set_finite_checks(prev_checks);
 }
 
 // ------------------------------------------------ property vs naive

@@ -175,7 +175,9 @@ TEST(TrGcn, GradCheck) {
       return nn::mse(out, target).loss;
     };
     gnn.zero_grad();
-    auto cache = gnn.forward(world.graph(), world.scads_embeddings(), center);
+    const auto inputs =
+        gnn.inputs(world.graph(), world.scads_embeddings(), center);
+    auto cache = gnn.forward(inputs);
     auto loss = nn::mse(cache.output, target);
     gnn.backward(cache, loss.grad_logits);
     if (nn::max_param_grad_error(gnn.parameters(), loss_fn, 1e-2) < 5e-2) {

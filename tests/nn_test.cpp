@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "nn/classifier.hpp"
 #include "nn/grad_check.hpp"
@@ -13,6 +16,7 @@
 #include "nn/scheduler.hpp"
 #include "nn/sequential.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/backend.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
 
@@ -300,6 +304,110 @@ TEST(Loss, SoftCrossEntropyGradCheck) {
   auto result = soft_cross_entropy(logits, targets);
   auto loss_fn = [&] { return soft_cross_entropy(logits, targets).loss; };
   EXPECT_LT(max_input_grad_error(logits, result.grad_logits, loss_fn), 1e-2);
+}
+
+// cross_entropy and soft_cross_entropy as they were computed before
+// they took the log-sum-exp from their one softmax pass: log_softmax for
+// the loss, softmax for the gradient.
+LossResult reference_cross_entropy(const Tensor& logits,
+                                   const std::vector<std::size_t>& labels) {
+  const Tensor log_probs = tensor::log_softmax(logits);
+  Tensor grad = tensor::softmax(logits);
+  double loss = 0.0;
+  const float inv_n = 1.0f / static_cast<float>(logits.rows());
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    loss -= log_probs.at(i, labels[i]);
+    auto g = grad.row(i);
+    g[labels[i]] -= 1.0f;
+    for (float& x : g) x *= inv_n;
+  }
+  return LossResult{loss / static_cast<double>(logits.rows()),
+                    std::move(grad)};
+}
+
+LossResult reference_soft_cross_entropy(const Tensor& logits,
+                                        const Tensor& targets) {
+  const Tensor log_probs = tensor::log_softmax(logits);
+  Tensor grad = tensor::softmax(logits);
+  double loss = 0.0;
+  const float inv_n = 1.0f / static_cast<float>(logits.rows());
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    auto lp = log_probs.row(i);
+    auto t = targets.row(i);
+    auto g = grad.row(i);
+    for (std::size_t j = 0; j < logits.cols(); ++j) {
+      loss -= static_cast<double>(t[j]) * lp[j];
+      g[j] = (g[j] - t[j]) * inv_n;
+    }
+  }
+  return LossResult{loss / static_cast<double>(logits.rows()),
+                    std::move(grad)};
+}
+
+void expect_same_loss_bits(const LossResult& got, const LossResult& want,
+                           const std::string& what) {
+  std::uint64_t lg = 0, lw = 0;
+  std::memcpy(&lg, &got.loss, sizeof(lg));
+  std::memcpy(&lw, &want.loss, sizeof(lw));
+  EXPECT_EQ(lg, lw) << what << ": loss " << got.loss << " vs " << want.loss;
+  ASSERT_TRUE(tensor::same_shape(got.grad_logits, want.grad_logits)) << what;
+  for (std::size_t i = 0; i < got.grad_logits.size(); ++i) {
+    std::uint32_t g = 0, w = 0;
+    std::memcpy(&g, &got.grad_logits.data()[i], sizeof(g));
+    std::memcpy(&w, &want.grad_logits.data()[i], sizeof(w));
+    ASSERT_EQ(g, w) << what << ": gradient bit mismatch at index " << i;
+  }
+}
+
+// Logit matrices the one-pass loss must agree on: random rows of several
+// widths (the SIMD max reduction starts at 8 columns), tied maxima, rows
+// whose max is +0 or -0 in either order, and large magnitudes.
+std::vector<Tensor> loss_cases() {
+  util::Rng rng(41);
+  std::vector<Tensor> cases{random_batch(64, 10, rng), random_batch(7, 33, rng),
+                            random_batch(5, 1, rng)};
+  Tensor special = Tensor::zeros(8, 12);
+  for (std::size_t j = 0; j < special.cols(); ++j) {
+    special.at(0, j) = 2.5f;                                  // all tied
+    special.at(1, j) = (j % 3 == 0) ? 4.0f : -1.0f;           // tied maxima
+    special.at(2, j) = (j == 5) ? -0.0f : -3.0f - j;          // max -0
+    special.at(3, j) = (j % 2 == 0) ? -0.0f : 0.0f;           // -0 then +0
+    special.at(4, j) = (j % 2 == 0) ? 0.0f : -0.0f;           // +0 then -0
+    special.at(5, j) = (j % 2 != 0) ? 80.0f : -80.0f;         // wide spread
+    special.at(6, j) = 1e4f + static_cast<float>(j) * 0.5f;   // large
+    special.at(7, j) = -3e4f - static_cast<float>(j) * 7.0f;  // large < 0
+  }
+  cases.push_back(special);
+  Tensor big = random_batch(16, 9, rng);
+  for (float& x : big.data()) x *= 1e3f;
+  cases.push_back(big);
+  return cases;
+}
+
+TEST(Loss, OnePassCrossEntropyBitwiseEqualsLogSoftmaxReference) {
+  const tensor::backend::Kernels* prev =
+      tensor::backend::exchange_active(nullptr);
+  for (const std::string& name : tensor::backend::available()) {
+    tensor::backend::exchange_active(tensor::backend::lookup(name));
+    std::size_t case_index = 0;
+    for (const Tensor& logits : loss_cases()) {
+      util::Rng rng(43 + case_index);
+      std::vector<std::size_t> labels(logits.rows());
+      for (std::size_t i = 0; i < labels.size(); ++i) {
+        labels[i] = static_cast<std::size_t>(rng.uniform() * logits.cols()) %
+                    logits.cols();
+      }
+      const Tensor targets = tensor::softmax(random_batch(
+          logits.rows(), logits.cols(), rng));
+      const std::string what = name + " case " + std::to_string(case_index++);
+      expect_same_loss_bits(cross_entropy(logits, labels),
+                            reference_cross_entropy(logits, labels), what);
+      expect_same_loss_bits(soft_cross_entropy(logits, targets),
+                            reference_soft_cross_entropy(logits, targets),
+                            what + " (soft)");
+    }
+  }
+  tensor::backend::exchange_active(prev);
 }
 
 TEST(Loss, MseGradCheck) {

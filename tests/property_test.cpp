@@ -712,8 +712,10 @@ TEST_P(TaskGraphSweepTest, CancellationReachesExactlyTheDescendants) {
     for (std::size_t i = 0; i < spec.nodes; ++i) {
       std::vector<TaskGraph::NodeId> deps;
       for (const std::size_t p : spec.parents[i]) deps.push_back(ids[p]);
+      std::string name = "n";
+      name += std::to_string(i);
       ids.push_back(graph.add_node(
-          "n" + std::to_string(i),
+          std::move(name),
           [&ran, i, victim] {
             ran[i].store(true);
             if (i == victim) throw std::runtime_error("victim node failed");
