@@ -10,12 +10,11 @@
 //    so each lane performs exactly the scalar op sequence;
 //  * the zero-skip decision in gemm_rowblock/gemm_rowblock2 is made on
 //    the scalar arow[p], as in the scalar backend; the kernels list the
-//    kept p first and then walk the list, so the decision is the same
-//    and only the branch per p is gone;
-//  * gemm_nt_row reads rows of B^T with plain contiguous loads (no
-//    gathers) and may use double FMA: the product of two floats is
-//    exact in double (48 < 53 significand bits), so fmadd rounds once
-//    exactly like the scalar mul-then-add;
+//    kept p first and then walk the list, so there is no branch per p;
+//  * gemm_nt_row reads rows of B^T with contiguous loads and may use
+//    double FMA: the product of two floats is exact in double
+//    (48 < 53 significand bits), so fmadd rounds once exactly like the
+//    scalar mul-then-add;
 //  * softmax_row vectorizes only the max reduction and the final scale
 //    (max is order-insensitive for finite floats up to the sign of
 //    zero, and exp(+0.0f) == exp(-0.0f) == 1.0f makes that harmless);

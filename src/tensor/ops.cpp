@@ -102,7 +102,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 // matmul_tn and matmul_nt transpose one operand once per call (an m*k
 // or k*n copy, small next to the m*n*k product) so their inner loops
-// read contiguous rows instead of striding or gathering.
+// read contiguous rows.
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   TAGLETS_CHECK(a.is_matrix() && b.is_matrix(), "matmul_tn: rank-2 required");
